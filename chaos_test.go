@@ -127,59 +127,60 @@ func TestChaosLimiterMutatedTraces(t *testing.T) {
 	}
 }
 
-// TestChaosPipelineShed saturates a gated single-shard pipeline and
+// TestChaosPipelineShed saturates a gated single-shard front end and
 // verifies that overflow degrades by the configured policy — counted,
 // undecided, and without deadlocking the producer.
 func TestChaosPipelineShed(t *testing.T) {
 	for _, policy := range []ShedPolicy{ShedFailOpen, ShedFailClosed} {
 		t.Run(policy.String(), func(t *testing.T) {
-			gate := make(chan struct{})
-			p, err := NewPipeline(
-				Config{ClientNetwork: "140.112.0.0/16", Seed: 1},
-				PipelineConfig{Shards: 1, RingSize: 64, OnOverload: policy, testGate: gate},
-			)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pkts := chaosTrace(256, 2)
-			// Workers are gated, so exactly RingSize packets fit and the
-			// rest must shed — Submit never blocks.
-			doneSubmitting := make(chan struct{})
-			go func() {
-				defer close(doneSubmitting)
-				p.SubmitBatch(pkts[:128])
-				for _, pkt := range pkts[128:] {
-					p.Submit(pkt)
-				}
-			}()
-			select {
-			case <-doneSubmitting:
-			case <-time.After(10 * time.Second):
-				t.Fatal("submission deadlocked against a saturated ring")
-			}
-			shedPassed, shedDropped := p.Shed()
-			shed := shedPassed + shedDropped
-			if shed != int64(len(pkts)-64) {
-				t.Fatalf("expected %d shed, got %d", len(pkts)-64, shed)
-			}
-			if policy == ShedFailOpen && shedDropped != 0 {
-				t.Fatalf("fail-open shed counted as dropped: %d", shedDropped)
-			}
-			if policy == ShedFailClosed && shedPassed != 0 {
-				t.Fatalf("fail-closed shed counted as passed: %d", shedPassed)
-			}
-			close(gate)
-			p.Drain()
-			passed, dropped := p.Verdicts()
-			if passed+dropped != 64 {
-				t.Fatalf("decided %d, expected the %d ring-buffered packets", passed+dropped, 64)
-			}
-			p.Close()
-			s := p.Stats()
-			checkStats(t, s, 64)
-			if s.ShedPassed != shedPassed || s.ShedDropped != shedDropped {
-				t.Fatalf("stats shed counters diverge: %d/%d vs %d/%d",
-					s.ShedPassed, s.ShedDropped, shedPassed, shedDropped)
+			for _, fe := range frontEnds {
+				t.Run(fe.name, func(t *testing.T) {
+					gate := make(chan struct{})
+					p := fe.start(t,
+						Config{ClientNetwork: "140.112.0.0/16", Seed: 1},
+						PipelineConfig{Shards: 1, RingSize: 64, OnOverload: policy, testGate: gate},
+					)
+					pkts := chaosTrace(256, 2)
+					// Workers are gated, so exactly RingSize packets fit and
+					// the rest must shed — Submit never blocks.
+					doneSubmitting := make(chan struct{})
+					go func() {
+						defer close(doneSubmitting)
+						p.SubmitBatch(pkts[:128])
+						for _, pkt := range pkts[128:] {
+							p.Submit(pkt)
+						}
+					}()
+					select {
+					case <-doneSubmitting:
+					case <-time.After(10 * time.Second):
+						t.Fatal("submission deadlocked against a saturated ring")
+					}
+					shedPassed, shedDropped := p.Shed()
+					shed := shedPassed + shedDropped
+					if shed != int64(len(pkts)-64) {
+						t.Fatalf("expected %d shed, got %d", len(pkts)-64, shed)
+					}
+					if policy == ShedFailOpen && shedDropped != 0 {
+						t.Fatalf("fail-open shed counted as dropped: %d", shedDropped)
+					}
+					if policy == ShedFailClosed && shedPassed != 0 {
+						t.Fatalf("fail-closed shed counted as passed: %d", shedPassed)
+					}
+					close(gate)
+					p.Drain()
+					passed, dropped := p.Verdicts()
+					if passed+dropped != 64 {
+						t.Fatalf("decided %d, expected the %d ring-buffered packets", passed+dropped, 64)
+					}
+					p.Close()
+					s := p.Stats()
+					checkStats(t, s, 64)
+					if s.ShedPassed != shedPassed || s.ShedDropped != shedDropped {
+						t.Fatalf("stats shed counters diverge: %d/%d vs %d/%d",
+							s.ShedPassed, s.ShedDropped, shedPassed, shedDropped)
+					}
+				})
 			}
 		})
 	}
@@ -188,35 +189,36 @@ func TestChaosPipelineShed(t *testing.T) {
 // TestChaosPipelineTrySubmit: TrySubmit reports a full ring without
 // taking or counting the packet, and works again once the ring drains.
 func TestChaosPipelineTrySubmit(t *testing.T) {
-	gate := make(chan struct{})
-	p, err := NewPipeline(
-		Config{ClientNetwork: "140.112.0.0/16"},
-		PipelineConfig{Shards: 1, RingSize: 4, testGate: gate},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkt := chaosTrace(1, 3)[0]
-	for i := 0; i < 4; i++ {
-		if !p.TrySubmit(pkt) {
-			t.Fatalf("TrySubmit failed with %d/4 slots used", i)
-		}
-	}
-	if p.TrySubmit(pkt) {
-		t.Fatal("TrySubmit succeeded on a full ring")
-	}
-	if sp, sd := p.Shed(); sp != 0 || sd != 0 {
-		t.Fatalf("TrySubmit counted shed packets: %d/%d", sp, sd)
-	}
-	close(gate)
-	p.Drain()
-	if !p.TrySubmit(pkt) {
-		t.Fatal("TrySubmit failed after the ring drained")
-	}
-	p.Drain()
-	p.Close()
-	if passed, dropped := p.Verdicts(); passed+dropped != 5 {
-		t.Fatalf("decided %d, want 5", passed+dropped)
+	for _, fe := range frontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			p := fe.start(t,
+				Config{ClientNetwork: "140.112.0.0/16"},
+				PipelineConfig{Shards: 1, RingSize: 4, testGate: gate},
+			)
+			pkt := chaosTrace(1, 3)[0]
+			for i := 0; i < 4; i++ {
+				if !p.TrySubmit(pkt) {
+					t.Fatalf("TrySubmit failed with %d/4 slots used", i)
+				}
+			}
+			if p.TrySubmit(pkt) {
+				t.Fatal("TrySubmit succeeded on a full ring")
+			}
+			if sp, sd := p.Shed(); sp != 0 || sd != 0 {
+				t.Fatalf("TrySubmit counted shed packets: %d/%d", sp, sd)
+			}
+			close(gate)
+			p.Drain()
+			if !p.TrySubmit(pkt) {
+				t.Fatal("TrySubmit failed after the ring drained")
+			}
+			p.Drain()
+			p.Close()
+			if passed, dropped := p.Verdicts(); passed+dropped != 5 {
+				t.Fatalf("decided %d, want 5", passed+dropped)
+			}
+		})
 	}
 }
 

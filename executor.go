@@ -1,0 +1,433 @@
+package p2pbound
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"p2pbound/internal/metrics"
+)
+
+// shardBackend is what a front end (Pipeline, TenantPipeline) supplies
+// to the sharded executor. route and routeChunk run on producer
+// goroutines; decide and idle run only on shard sh's worker goroutine,
+// so they may touch that shard's single-writer state without locks.
+type shardBackend interface {
+	// route returns the index of the shard whose ring pkt joins. It
+	// takes the packet by value: a pointer passed through an interface
+	// call escapes, which would cost Submit a heap allocation.
+	route(pkt Packet) int
+	// routeChunk sets shards[i] to route(pkts[i]). SubmitBatch calls it
+	// once per chunk: an interface dispatch and a by-value copy per
+	// packet measurably slowed its routing loop.
+	routeChunk(pkts []Packet, shards []int)
+	// decide decides one batch on shard sh, appending one verdict per
+	// packet to dst.
+	decide(sh int, batch []Packet, dst []Decision) []Decision
+	// idle runs each time shard sh's ring runs dry, and once more with
+	// final set when the worker exits on a drained ring.
+	idle(sh int, final bool)
+}
+
+// executor is the concurrent engine behind Pipeline and TenantPipeline:
+// one worker goroutine per shard, each fed by a fixed-capacity
+// single-consumer ring. Producers route each packet to a ring once, at
+// submit time; the shard's worker drains its ring in batches through
+// the backend's decider. Per-shard packet order follows arrival order,
+// so concurrency changes scheduling, never decisions.
+type executor struct {
+	be      shardBackend
+	rings   []*ring
+	batch   int
+	scratch sync.Pool // *routeScratch
+	wg      sync.WaitGroup
+	closed  atomic.Bool //p2p:atomic
+	policy  ShedPolicy
+	gate    <-chan struct{}
+
+	// Verdict and shed counters are striped per shard (cache-line-padded
+	// atomic cells), so concurrent shard workers never contend on a
+	// counter cache line. Shed counts packets a full ring turned away by
+	// policy; they were never decided and appear in no decider counter.
+	passed      *metrics.Counter
+	dropped     *metrics.Counter
+	shedPassed  *metrics.Counter
+	shedDropped *metrics.Counter
+}
+
+// start builds the rings and counters, attaches the counters to tel
+// when it is non-nil, and launches one worker per shard. A zero ring
+// size selects 2048 and a non-positive batch size 256; the ring size is
+// rounded up to a power of two so indices wrap with a mask. A non-nil
+// gate holds every worker until it is closed (chaos tests use it to
+// saturate the rings deterministically; it must be closed before
+// Close).
+func (e *executor) start(be shardBackend, shards, ringSize, batchSize int, policy ShedPolicy, gate <-chan struct{}, tel *Telemetry) {
+	if ringSize == 0 {
+		ringSize = 2048
+	}
+	if ringSize < 2 {
+		ringSize = 2
+	}
+	for ringSize&(ringSize-1) != 0 {
+		ringSize += ringSize & -ringSize
+	}
+	if batchSize <= 0 {
+		batchSize = 256
+	}
+	e.be = be
+	e.rings = make([]*ring, shards)
+	for i := range e.rings {
+		e.rings[i] = newRing(ringSize)
+	}
+	e.batch = batchSize
+	e.policy = policy
+	e.gate = gate
+	e.passed = metrics.NewCounter(shards)
+	e.dropped = metrics.NewCounter(shards)
+	e.shedPassed = metrics.NewCounter(shards)
+	e.shedDropped = metrics.NewCounter(shards)
+	e.scratch.New = func() any {
+		sc := &routeScratch{shards: make([]int, submitChunk), byShard: make([][]Packet, shards)}
+		for i := range sc.byShard {
+			sc.byShard[i] = make([]Packet, 0, submitChunk)
+		}
+		return sc
+	}
+	if tel != nil {
+		tel.attachPipeline(e)
+	}
+	e.wg.Add(shards)
+	for i := 0; i < shards; i++ {
+		go e.worker(i)
+	}
+}
+
+// Submit routes one packet to its shard ring. Under the default
+// ShedBlock policy it blocks while the ring is full; under ShedFailOpen
+// or ShedFailClosed a packet arriving at a full ring is shed by policy
+// and counted instead of enqueued. It must not be called after Close.
+func (e *executor) Submit(pkt Packet) {
+	if e.closed.Load() {
+		panic("p2pbound: Submit on closed pipeline")
+	}
+	sh := e.be.route(pkt)
+	r := e.rings[sh]
+	if e.policy == ShedBlock {
+		r.mu.Lock()
+		r.push(pkt)
+		r.mu.Unlock()
+		return
+	}
+	r.mu.Lock()
+	ok := r.tryPush(pkt)
+	r.mu.Unlock()
+	if !ok {
+		e.shed(sh, 1)
+	}
+}
+
+// TrySubmit attempts a non-blocking enqueue, regardless of the shed
+// policy. It reports false when the shard ring is full, in which case
+// the packet was not taken and nothing was counted — the caller owns the
+// overflow decision (retry, spill to a secondary queue, apply its own
+// verdict). It must not be called after Close.
+func (e *executor) TrySubmit(pkt Packet) bool {
+	if e.closed.Load() {
+		panic("p2pbound: TrySubmit on closed pipeline")
+	}
+	r := e.rings[e.be.route(pkt)]
+	r.mu.Lock()
+	ok := r.tryPush(pkt)
+	r.mu.Unlock()
+	return ok
+}
+
+// shed records n packets bound for shard sh turned away by the overload
+// policy.
+func (e *executor) shed(sh, n int) {
+	if n <= 0 {
+		return
+	}
+	if e.policy == ShedFailOpen {
+		e.shedPassed.Add(sh, int64(n))
+	} else {
+		e.shedDropped.Add(sh, int64(n))
+	}
+}
+
+// submitChunk bounds the staging buffer SubmitBatch classifies into
+// before publishing to the shard rings.
+const submitChunk = 8192
+
+// SubmitBatch routes a slice of packets. Instead of locking a ring per
+// packet it classifies a chunk into per-shard staging buffers and then
+// publishes each shard's group with one lock acquisition and one ring
+// cursor update — the amortization that lets a single producer outrun
+// several shard workers. Packets must be in non-decreasing timestamp
+// order (per producer, as with Submit). Under a non-blocking shed
+// policy, packets that do not fit a full shard ring are shed by policy
+// and counted instead of enqueued. It must not be called after Close.
+func (e *executor) SubmitBatch(pkts []Packet) {
+	if e.closed.Load() {
+		panic("p2pbound: SubmitBatch on closed pipeline")
+	}
+	sc := e.scratch.Get().(*routeScratch)
+	for len(pkts) > 0 {
+		n := len(pkts)
+		if n > submitChunk {
+			n = submitChunk
+		}
+		chunk := pkts[:n]
+		pkts = pkts[n:]
+		for i := range sc.byShard {
+			sc.byShard[i] = sc.byShard[i][:0]
+		}
+		e.be.routeChunk(chunk, sc.shards[:n])
+		for i, sh := range sc.shards[:n] {
+			sc.byShard[sh] = append(sc.byShard[sh], chunk[i])
+		}
+		for sh, group := range sc.byShard {
+			if len(group) == 0 {
+				continue
+			}
+			r := e.rings[sh]
+			r.mu.Lock()
+			if e.policy == ShedBlock {
+				r.pushAll(group)
+				r.mu.Unlock()
+				continue
+			}
+			accepted := r.tryPushAll(group)
+			r.mu.Unlock()
+			e.shed(sh, len(group)-accepted)
+		}
+	}
+	e.scratch.Put(sc)
+}
+
+// routeScratch is the reusable per-SubmitBatch staging area, pooled so
+// steady-state batch submission does not allocate.
+type routeScratch struct {
+	shards  []int // routeChunk's output for the current chunk
+	byShard [][]Packet
+}
+
+// Drain blocks until every packet submitted before the call has been
+// decided. Concurrent Submits are allowed; packets submitted while Drain
+// is waiting may or may not be covered.
+func (e *executor) Drain() {
+	for _, r := range e.rings {
+		target := r.tail.Load()
+		for spin := 0; r.done.Load() < target; spin++ {
+			idleWait(spin)
+		}
+	}
+}
+
+// Close drains the rings, stops every worker, and waits for them to
+// exit. No Submit or SubmitBatch may be issued after (or concurrently
+// with) Close. Close is idempotent.
+func (e *executor) Close() {
+	e.closed.Store(true)
+	e.wg.Wait()
+}
+
+// Verdicts returns the number of passed and dropped packets decided so
+// far. Shed packets were never decided and are reported separately by
+// Shed. It is safe to call at any time, including concurrently with
+// submission.
+func (e *executor) Verdicts() (passed, dropped int64) {
+	return e.passed.Value(), e.dropped.Value()
+}
+
+// Shed returns the number of packets turned away undecided by the
+// overload policy: fail-open sheds count as passed, fail-closed sheds as
+// dropped. Both are zero under ShedBlock. Safe to call at any time.
+func (e *executor) Shed() (passed, dropped int64) {
+	return e.shedPassed.Value(), e.shedDropped.Value()
+}
+
+// worker owns shard sh: it drains the shard ring in batches, decides
+// them through the backend, publishes verdict counts, and runs the
+// backend's idle hook whenever the ring runs dry. The `done` cursor
+// advances only after the batch is decided, which is what Drain
+// synchronizes on.
+//
+//p2p:confined pipeworker
+func (e *executor) worker(sh int) {
+	defer e.wg.Done()
+	if e.gate != nil {
+		<-e.gate
+	}
+	r := e.rings[sh]
+	batch := make([]Packet, 0, e.batch)
+	verdicts := make([]Decision, 0, e.batch)
+	spin := 0
+	for {
+		batch = r.take(batch[:0], e.batch)
+		if len(batch) == 0 {
+			if e.closed.Load() {
+				// Re-check after observing closed: any Submit that
+				// returned before Close is visible to this take.
+				if batch = r.take(batch[:0], e.batch); len(batch) == 0 {
+					e.be.idle(sh, true)
+					return
+				}
+			} else {
+				if spin == 0 {
+					e.be.idle(sh, false)
+				}
+				idleWait(spin)
+				spin++
+				continue
+			}
+		}
+		spin = 0
+		verdicts = e.be.decide(sh, batch, verdicts[:0])
+		var pass, drop int64
+		for _, v := range verdicts {
+			if v == Pass {
+				pass++
+			} else {
+				drop++
+			}
+		}
+		e.passed.Add(sh, pass)
+		e.dropped.Add(sh, drop)
+		r.done.Add(uint64(len(batch)))
+	}
+}
+
+// ring is a fixed-capacity single-consumer packet queue. The consumer
+// side is lock-free; the producer side is serialized by mu (uncontended
+// in the common single-producer deployment). tail is the next slot to
+// write, head the next to read, done the count of decided packets.
+type ring struct {
+	buf  []Packet
+	mask uint64
+	mu   sync.Mutex
+
+	// The three cursors live on separate cache lines so the producer's
+	// tail stores do not false-share with the consumer's head/done.
+	tail atomic.Uint64 //p2p:atomic
+	_    [7]uint64
+	head atomic.Uint64 //p2p:atomic
+	_    [7]uint64
+	done atomic.Uint64 //p2p:atomic
+}
+
+func newRing(size int) *ring {
+	return &ring{
+		buf:  make([]Packet, size),
+		mask: uint64(size - 1),
+	}
+}
+
+// push appends one packet, spinning while the ring is full. Callers hold
+// r.mu.
+func (r *ring) push(p Packet) {
+	t := r.tail.Load()
+	for spin := 0; t-r.head.Load() >= uint64(len(r.buf)); spin++ {
+		idleWait(spin)
+	}
+	r.buf[t&r.mask] = p
+	r.tail.Store(t + 1)
+}
+
+// tryPush appends one packet if the ring has a free slot, reporting
+// whether it did. Callers hold r.mu.
+func (r *ring) tryPush(p Packet) bool {
+	t := r.tail.Load()
+	if t-r.head.Load() >= uint64(len(r.buf)) {
+		return false
+	}
+	r.buf[t&r.mask] = p
+	r.tail.Store(t + 1)
+	return true
+}
+
+// tryPushAll appends as much of the group as fits without waiting and
+// returns the count accepted; the caller sheds the remainder. Callers
+// hold r.mu.
+func (r *ring) tryPushAll(pkts []Packet) int {
+	t := r.tail.Load()
+	free := uint64(len(r.buf)) - (t - r.head.Load())
+	n := uint64(len(pkts))
+	if n > free {
+		n = free
+	}
+	for i := uint64(0); i < n; i++ {
+		r.buf[(t+i)&r.mask] = pkts[i]
+	}
+	if n > 0 {
+		r.tail.Store(t + n)
+	}
+	return int(n)
+}
+
+// pushAll appends a group of packets, publishing the tail cursor once
+// per contiguous free span instead of once per packet. When the group
+// exceeds the free space it publishes what fits and waits for the
+// consumer, so oversized groups drain incrementally rather than
+// deadlocking. Callers hold r.mu.
+func (r *ring) pushAll(pkts []Packet) {
+	t := r.tail.Load()
+	for len(pkts) > 0 {
+		free := uint64(len(r.buf)) - (t - r.head.Load())
+		for spin := 0; free == 0; spin++ {
+			idleWait(spin)
+			free = uint64(len(r.buf)) - (t - r.head.Load())
+		}
+		n := uint64(len(pkts))
+		if n > free {
+			n = free
+		}
+		for i := uint64(0); i < n; i++ {
+			r.buf[(t+i)&r.mask] = pkts[i]
+		}
+		t += n
+		r.tail.Store(t)
+		pkts = pkts[n:]
+	}
+}
+
+// take moves up to max available packets into dst. Only the consumer
+// goroutine (a shard worker) may call it. Slots are released (head
+// advanced) as soon as the packets are copied out; completion is
+// published separately via done.
+//
+//p2p:confined pipeworker
+func (r *ring) take(dst []Packet, max int) []Packet {
+	h := r.head.Load()
+	avail := r.tail.Load() - h
+	if avail == 0 {
+		return dst
+	}
+	if avail > uint64(max) {
+		avail = uint64(max)
+	}
+	// The span wraps the ring at most once, so two bulk copies replace
+	// the per-packet masked loop — memmove keeps the drain cost per
+	// packet flat as BatchSize grows.
+	lo := h & r.mask
+	n := uint64(len(r.buf)) - lo
+	if n > avail {
+		n = avail
+	}
+	dst = append(dst, r.buf[lo:lo+n]...)
+	dst = append(dst, r.buf[:avail-n]...)
+	r.head.Store(h + avail)
+	return dst
+}
+
+// idleWait is the shared backoff: yield the processor for a while, then
+// sleep briefly so an idle pipeline does not burn a core.
+func idleWait(spin int) {
+	if spin < 128 {
+		runtime.Gosched()
+		return
+	}
+	time.Sleep(20 * time.Microsecond)
+}

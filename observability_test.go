@@ -98,62 +98,63 @@ func TestGoldenMetricsLimiter(t *testing.T) {
 }
 
 // TestGoldenMetricsPipeline drives a deterministic overload through a
-// telemetry-attached Pipeline: the workers are gated, every packet
-// shares one socket pair (one shard), and the fail-closed ring has room
-// for exactly ringSize packets — so accepted and shed counts are exact,
-// not timing-dependent.
+// telemetry-attached front end: the workers are gated, every packet
+// shares one socket pair and one subscriber (one shard), and the
+// fail-closed ring has room for exactly ringSize packets — so accepted
+// and shed counts are exact, not timing-dependent.
 func TestGoldenMetricsPipeline(t *testing.T) {
 	const ringSize = 4
 	const total = 32
-	tel := NewTelemetry()
-	cfg := goldenConfig()
-	cfg.Telemetry = tel
-	gate := make(chan struct{})
-	p, err := NewPipeline(cfg, PipelineConfig{
-		Shards:     2,
-		RingSize:   ringSize,
-		OnOverload: ShedFailClosed,
-		testGate:   gate,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < total; i++ {
-		p.Submit(outPkt(time.Duration(i)*time.Millisecond, 40000, 80, 1500))
-	}
-	close(gate)
-	p.Drain()
-	p.Close()
+	for _, fe := range frontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			tel := NewTelemetry()
+			cfg := goldenConfig()
+			cfg.Telemetry = tel
+			gate := make(chan struct{})
+			p := fe.start(t, cfg, PipelineConfig{
+				Shards:     2,
+				RingSize:   ringSize,
+				OnOverload: ShedFailClosed,
+				testGate:   gate,
+			})
+			for i := 0; i < total; i++ {
+				p.Submit(outPkt(time.Duration(i)*time.Millisecond, 40000, 80, 1500))
+			}
+			close(gate)
+			p.Drain()
+			p.Close()
 
-	s := p.Stats()
-	if s.ShedDropped != total-ringSize {
-		t.Fatalf("ShedDropped = %d, want %d", s.ShedDropped, total-ringSize)
-	}
-	if s.ShedPassed != 0 {
-		t.Fatalf("ShedPassed = %d, want 0", s.ShedPassed)
-	}
-	passed, dropped := p.Verdicts()
-	if passed+dropped != ringSize {
-		t.Fatalf("decided %d packets, want %d", passed+dropped, ringSize)
-	}
-	if s.OutboundPackets != ringSize {
-		t.Fatalf("OutboundPackets = %d, want %d", s.OutboundPackets, ringSize)
-	}
+			s := p.Stats()
+			if s.ShedDropped != total-ringSize {
+				t.Fatalf("ShedDropped = %d, want %d", s.ShedDropped, total-ringSize)
+			}
+			if s.ShedPassed != 0 {
+				t.Fatalf("ShedPassed = %d, want 0", s.ShedPassed)
+			}
+			passed, dropped := p.Verdicts()
+			if passed+dropped != ringSize {
+				t.Fatalf("decided %d packets, want %d", passed+dropped, ringSize)
+			}
+			if s.OutboundPackets != ringSize {
+				t.Fatalf("OutboundPackets = %d, want %d", s.OutboundPackets, ringSize)
+			}
 
-	var b strings.Builder
-	if err := tel.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, line := range []string{
-		`p2pbound_pipeline_verdicts_total{verdict="pass",pipeline="0"} 4`,
-		`p2pbound_pipeline_verdicts_total{verdict="drop",pipeline="0"} 0`,
-		`p2pbound_pipeline_shed_total{verdict="pass",pipeline="0"} 0`,
-		`p2pbound_pipeline_shed_total{verdict="drop",pipeline="0"} 28`,
-	} {
-		if !strings.Contains(out, line+"\n") {
-			t.Errorf("exposition missing %q\nfull exposition:\n%s", line, out)
-		}
+			var b strings.Builder
+			if err := tel.WritePrometheus(&b); err != nil {
+				t.Fatal(err)
+			}
+			out := b.String()
+			for _, line := range []string{
+				`p2pbound_pipeline_verdicts_total{verdict="pass",pipeline="0"} 4`,
+				`p2pbound_pipeline_verdicts_total{verdict="drop",pipeline="0"} 0`,
+				`p2pbound_pipeline_shed_total{verdict="pass",pipeline="0"} 0`,
+				`p2pbound_pipeline_shed_total{verdict="drop",pipeline="0"} 28`,
+			} {
+				if !strings.Contains(out, line+"\n") {
+					t.Errorf("exposition missing %q\nfull exposition:\n%s", line, out)
+				}
+			}
+		})
 	}
 }
 

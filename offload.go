@@ -91,7 +91,7 @@ type TenantOffload struct {
 
 // NewOffload builds a flat map covering every currently registered
 // tenant. Control-plane call: do not run it concurrently with packet
-// processing (like AddTenants).
+// processing (like SaveTenantState).
 func (m *TenantManager) NewOffload() (*TenantOffload, error) {
 	m.mu.Lock()
 	tenants := make([]*tenant, len(m.tenants))

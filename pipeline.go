@@ -3,11 +3,7 @@ package p2pbound
 import (
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
-	"p2pbound/internal/metrics"
 	"p2pbound/internal/offload"
 	"p2pbound/internal/packet"
 )
@@ -79,11 +75,12 @@ type PipelineConfig struct {
 	testGate <-chan struct{}
 }
 
-// Pipeline is the concurrent driver for a ShardedLimiter: one worker
-// goroutine per shard, each fed by a fixed-capacity single-consumer ring
-// buffer. Producers route packets to their shard ring (both directions
-// of a connection always reach the same shard, so per-shard decisions
-// are identical to running that shard's Limiter sequentially); workers
+// Pipeline is the concurrent driver for a ShardedLimiter: the sharded
+// executor with one worker goroutine per shard, each fed by a
+// fixed-capacity single-consumer ring buffer. Producers route packets
+// to their shard ring by ShardedLimiter.ShardOf (both directions of a
+// connection always reach the same shard, so per-shard decisions are
+// identical to running that shard's Limiter sequentially); workers
 // drain their ring in batches through Limiter.ProcessBatch.
 //
 // Multiple goroutines may Submit/SubmitBatch concurrently — the producer
@@ -98,32 +95,20 @@ type PipelineConfig struct {
 // bulk replay and for deployments where the verdict is applied by the
 // shard worker itself (e.g. one NIC queue per shard).
 type Pipeline struct {
+	executor
 	sharded *ShardedLimiter
 	// clientNet is the parsed ClientNetwork, kept so the pcap ingestion
 	// entry points can classify packet direction at decode time.
 	clientNet packet.Network
-	rings     []*ring
-	scratch   sync.Pool // *routeScratch
-	wg        sync.WaitGroup
-	closed    atomic.Bool //p2p:atomic
-	policy    ShedPolicy
-	gate      <-chan struct{}
 
 	// offloadMap, when non-nil, is the flat verdict map the shard
 	// workers publish into every offloadEvery batches (section index ==
 	// shard index). Readers attach via OffloadMap at any time.
+	// sinceOffload[sh] counts shard sh's batches since its last publish
+	// and is touched only by that shard's worker.
 	offloadMap   *offload.Map
 	offloadEvery int
-
-	// Verdict and shed counters are striped per shard (cache-line-padded
-	// atomic cells), so concurrent shard workers never contend on a
-	// counter cache line. Shed counts packets a full ring turned away by
-	// policy; they were never decided by a Limiter and appear in no
-	// per-shard limiter counter.
-	passed      *metrics.Counter
-	dropped     *metrics.Counter
-	shedPassed  *metrics.Counter
-	shedDropped *metrics.Counter
+	sinceOffload []int
 }
 
 // NewPipeline builds the sharded limiter and starts one worker per
@@ -137,36 +122,11 @@ func NewPipeline(cfg Config, pcfg PipelineConfig) (*Pipeline, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := pcfg.RingSize
-	if size == 0 {
-		size = 2048
-	}
-	if size < 2 {
-		size = 2
-	}
-	// Round up to a power of two so ring indices wrap with a mask.
-	for size&(size-1) != 0 {
-		size += size & -size
-	}
-	batch := pcfg.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
 	clientNet, err := packet.ParseNetwork(cfg.ClientNetwork)
 	if err != nil {
 		return nil, fmt.Errorf("p2pbound: %w", err)
 	}
-	p := &Pipeline{
-		sharded:     sharded,
-		clientNet:   clientNet,
-		rings:       make([]*ring, shards),
-		policy:      pcfg.OnOverload,
-		gate:        pcfg.testGate,
-		passed:      metrics.NewCounter(shards),
-		dropped:     metrics.NewCounter(shards),
-		shedPassed:  metrics.NewCounter(shards),
-		shedDropped: metrics.NewCounter(shards),
-	}
+	p := &Pipeline{sharded: sharded, clientNet: clientNet}
 	if pcfg.OffloadEvery > 0 {
 		om, err := sharded.NewOffloadMap()
 		if err != nil {
@@ -174,175 +134,47 @@ func NewPipeline(cfg Config, pcfg PipelineConfig) (*Pipeline, error) {
 		}
 		p.offloadMap = om
 		p.offloadEvery = pcfg.OffloadEvery
+		p.sinceOffload = make([]int, shards)
 	}
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.attachPipeline(p)
-	}
-	p.scratch.New = func() any {
-		sc := &routeScratch{byShard: make([][]Packet, shards)}
-		for i := range sc.byShard {
-			sc.byShard[i] = make([]Packet, 0, submitChunk)
-		}
-		return sc
-	}
-	for i := range p.rings {
-		p.rings[i] = newRing(size)
-	}
-	p.wg.Add(shards)
-	for i := 0; i < shards; i++ {
-		go p.worker(i, batch)
-	}
+	p.start(p, shards, pcfg.RingSize, pcfg.BatchSize, pcfg.OnOverload, pcfg.testGate, cfg.Telemetry)
 	return p, nil
 }
 
-// Shards returns the number of shard workers.
-func (p *Pipeline) Shards() int { return p.sharded.Shards() }
+// route sends a packet to its connection-hash shard.
+func (p *Pipeline) route(pkt Packet) int { return p.sharded.ShardOf(pkt) }
 
-// Submit routes one packet to its shard ring. Under the default
-// ShedBlock policy it blocks while the ring is full; under ShedFailOpen
-// or ShedFailClosed a packet arriving at a full ring is shed by policy
-// and counted instead of enqueued. It must not be called after Close.
-func (p *Pipeline) Submit(pkt Packet) {
-	if p.closed.Load() {
-		panic("p2pbound: Submit on closed Pipeline")
-	}
-	sh := p.sharded.ShardOf(pkt)
-	r := p.rings[sh]
-	if p.policy == ShedBlock {
-		r.mu.Lock()
-		r.push(pkt)
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Lock()
-	ok := r.tryPush(pkt)
-	r.mu.Unlock()
-	if !ok {
-		p.shed(sh, 1)
+func (p *Pipeline) routeChunk(pkts []Packet, shards []int) {
+	for i := range pkts {
+		shards[i] = p.sharded.ShardOf(pkts[i])
 	}
 }
 
-// TrySubmit attempts a non-blocking enqueue, regardless of the shed
-// policy. It reports false when the shard ring is full, in which case
-// the packet was not taken and nothing was counted — the caller owns the
-// overflow decision (retry, spill to a secondary queue, apply its own
-// verdict). It must not be called after Close.
-func (p *Pipeline) TrySubmit(pkt Packet) bool {
-	if p.closed.Load() {
-		panic("p2pbound: TrySubmit on closed Pipeline")
-	}
-	r := p.rings[p.sharded.ShardOf(pkt)]
-	r.mu.Lock()
-	ok := r.tryPush(pkt)
-	r.mu.Unlock()
-	return ok
-}
-
-// shed records n packets bound for shard sh turned away by the overload
-// policy.
-func (p *Pipeline) shed(sh, n int) {
-	if n <= 0 {
-		return
-	}
-	if p.policy == ShedFailOpen {
-		p.shedPassed.Add(sh, int64(n))
-	} else {
-		p.shedDropped.Add(sh, int64(n))
-	}
-}
-
-// submitChunk bounds the staging buffer SubmitBatch classifies into
-// before publishing to the shard rings.
-const submitChunk = 8192
-
-// SubmitBatch routes a slice of packets. Instead of locking a ring per
-// packet it classifies a chunk into per-shard staging buffers and then
-// publishes each shard's group with one lock acquisition and one ring
-// cursor update — the amortization that lets a single producer outrun
-// several shard workers. Packets must be in non-decreasing timestamp
-// order (per producer, as with Submit). Under a non-blocking shed
-// policy, packets that do not fit a full shard ring are shed by policy
-// and counted instead of enqueued. It must not be called after Close.
-func (p *Pipeline) SubmitBatch(pkts []Packet) {
-	if p.closed.Load() {
-		panic("p2pbound: SubmitBatch on closed Pipeline")
-	}
-	sc := p.scratch.Get().(*routeScratch)
-	for len(pkts) > 0 {
-		n := len(pkts)
-		if n > submitChunk {
-			n = submitChunk
-		}
-		chunk := pkts[:n]
-		pkts = pkts[n:]
-		for i := range sc.byShard {
-			sc.byShard[i] = sc.byShard[i][:0]
-		}
-		for i := range chunk {
-			sh := p.sharded.ShardOf(chunk[i])
-			sc.byShard[sh] = append(sc.byShard[sh], chunk[i])
-		}
-		for sh, group := range sc.byShard {
-			if len(group) == 0 {
-				continue
-			}
-			r := p.rings[sh]
-			r.mu.Lock()
-			if p.policy == ShedBlock {
-				r.pushAll(group)
-				r.mu.Unlock()
-				continue
-			}
-			accepted := r.tryPushAll(group)
-			r.mu.Unlock()
-			p.shed(sh, len(group)-accepted)
+// decide runs one batch through shard sh's Limiter.ProcessBatch, so
+// each core.BatchChunk-sized chunk gets the two-pass hash/probe
+// treatment (DESIGN.md §12), and republishes the shard's offload
+// section every offloadEvery batches.
+func (p *Pipeline) decide(sh int, batch []Packet, dst []Decision) []Decision {
+	dst = p.sharded.shards[sh].ProcessBatch(batch, dst)
+	if p.offloadMap != nil {
+		if p.sinceOffload[sh]++; p.sinceOffload[sh] >= p.offloadEvery {
+			// Between batches, on the shard's owning goroutine — the
+			// single-writer position Section.Publish requires. A publish
+			// error (impossible for a geometry-matched map) only leaves
+			// the section stale, which escalation covers.
+			_ = p.sharded.PublishOffloadShard(p.offloadMap, sh)
+			p.sinceOffload[sh] = 0
 		}
 	}
-	p.scratch.Put(sc)
+	return dst
 }
 
-// routeScratch is the reusable per-SubmitBatch staging area, pooled so
-// steady-state batch submission does not allocate.
-type routeScratch struct {
-	byShard [][]Packet
-}
-
-// Drain blocks until every packet submitted before the call has been
-// decided. Concurrent Submits are allowed; packets submitted while Drain
-// is waiting may or may not be covered.
-func (p *Pipeline) Drain() {
-	for _, r := range p.rings {
-		target := r.tail.Load()
-		for spin := 0; r.done.Load() < target; spin++ {
-			idleWait(spin)
-		}
+// idle publishes shard sh's offload section one last time at exit, so
+// the exported map reflects every decided packet once the pipeline is
+// quiescent.
+func (p *Pipeline) idle(sh int, final bool) {
+	if final && p.offloadMap != nil {
+		_ = p.sharded.PublishOffloadShard(p.offloadMap, sh)
 	}
-}
-
-// Close drains the rings, stops every worker, and waits for them to
-// exit. No Submit or SubmitBatch may be issued after (or concurrently
-// with) Close. Close is idempotent.
-func (p *Pipeline) Close() {
-	if p.closed.Swap(true) {
-		p.wg.Wait()
-		return
-	}
-	p.wg.Wait()
-}
-
-// Verdicts returns the number of passed and dropped packets decided so
-// far. Shed packets were never decided and are reported separately by
-// Shed. It is safe to call at any time, including concurrently with
-// submission.
-func (p *Pipeline) Verdicts() (passed, dropped int64) {
-	return p.passed.Value(), p.dropped.Value()
-}
-
-// Shed returns the number of packets turned away undecided by the
-// overload policy: fail-open sheds count as passed, fail-closed sheds as
-// dropped. Both are zero under ShedBlock. Safe to call at any time.
-func (p *Pipeline) Shed() (passed, dropped int64) {
-	return p.shedPassed.Value(), p.shedDropped.Value()
 }
 
 // Stats sums the per-shard activity counters and adds the pipeline's
@@ -355,211 +187,6 @@ func (p *Pipeline) Shed() (passed, dropped int64) {
 // or after a Drain with no concurrent submissions.
 func (p *Pipeline) Stats() Stats {
 	s := p.sharded.Stats()
-	s.ShedPassed = p.shedPassed.Value()
-	s.ShedDropped = p.shedDropped.Value()
+	s.ShedPassed, s.ShedDropped = p.Shed()
 	return s
-}
-
-// MemoryBytes returns the total bitmap memory across shards.
-func (p *Pipeline) MemoryBytes() int { return p.sharded.MemoryBytes() }
-
-// ExpiryHorizon returns the shared T_e of the shards.
-func (p *Pipeline) ExpiryHorizon() time.Duration { return p.sharded.ExpiryHorizon() }
-
-// worker owns shard sh: it drains the shard ring in batches, decides
-// them on the shard Limiter, and publishes verdict counts. Batches flow
-// through Limiter.ProcessBatch, so each core.BatchChunk-sized chunk gets
-// the two-pass hash/probe treatment (pass A overlaps the DRAM fetches
-// for the whole chunk, pass B decides against warm cache lines — see
-// DESIGN.md §12). The `done` cursor advances only after the batch is
-// decided, which is what Drain synchronizes on.
-//
-//p2p:confined pipeworker
-func (p *Pipeline) worker(sh int, batchSize int) {
-	defer p.wg.Done()
-	if p.gate != nil {
-		<-p.gate
-	}
-	r := p.rings[sh]
-	limiter := p.sharded.shards[sh]
-	batch := make([]Packet, 0, batchSize)
-	verdicts := make([]Decision, 0, batchSize)
-	spin := 0
-	sinceOffload := 0
-	for {
-		batch = r.take(batch[:0], batchSize)
-		if len(batch) == 0 {
-			if p.closed.Load() {
-				// Re-check after observing closed: any Submit that
-				// returned before Close is visible to this take.
-				if batch = r.take(batch[:0], batchSize); len(batch) == 0 {
-					if p.offloadMap != nil {
-						// Final publish so the exported map reflects every
-						// decided packet once the pipeline is quiescent.
-						_ = p.sharded.PublishOffloadShard(p.offloadMap, sh)
-					}
-					return
-				}
-			} else {
-				idleWait(spin)
-				spin++
-				continue
-			}
-		}
-		spin = 0
-		verdicts = limiter.ProcessBatch(batch, verdicts[:0])
-		if p.offloadMap != nil {
-			if sinceOffload++; sinceOffload >= p.offloadEvery {
-				// Between batches, on the shard's owning goroutine — the
-				// single-writer position Section.Publish requires. A
-				// publish error (impossible for a geometry-matched map)
-				// only leaves the section stale, which escalation covers.
-				_ = p.sharded.PublishOffloadShard(p.offloadMap, sh)
-				sinceOffload = 0
-			}
-		}
-		var pass, drop int64
-		for _, v := range verdicts {
-			if v == Pass {
-				pass++
-			} else {
-				drop++
-			}
-		}
-		p.passed.Add(sh, pass)
-		p.dropped.Add(sh, drop)
-		r.done.Add(uint64(len(batch)))
-	}
-}
-
-// ring is a fixed-capacity single-consumer packet queue. The consumer
-// side is lock-free; the producer side is serialized by mu (uncontended
-// in the common single-producer deployment). tail is the next slot to
-// write, head the next to read, done the count of decided packets.
-type ring struct {
-	buf  []Packet
-	mask uint64
-	mu   sync.Mutex
-
-	// The three cursors live on separate cache lines so the producer's
-	// tail stores do not false-share with the consumer's head/done.
-	tail atomic.Uint64 //p2p:atomic
-	_    [7]uint64
-	head atomic.Uint64 //p2p:atomic
-	_    [7]uint64
-	done atomic.Uint64 //p2p:atomic
-}
-
-func newRing(size int) *ring {
-	return &ring{
-		buf:  make([]Packet, size),
-		mask: uint64(size - 1),
-	}
-}
-
-// push appends one packet, spinning while the ring is full. Callers hold
-// r.mu.
-func (r *ring) push(p Packet) {
-	t := r.tail.Load()
-	for spin := 0; t-r.head.Load() >= uint64(len(r.buf)); spin++ {
-		idleWait(spin)
-	}
-	r.buf[t&r.mask] = p
-	r.tail.Store(t + 1)
-}
-
-// tryPush appends one packet if the ring has a free slot, reporting
-// whether it did. Callers hold r.mu.
-func (r *ring) tryPush(p Packet) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.buf)) {
-		return false
-	}
-	r.buf[t&r.mask] = p
-	r.tail.Store(t + 1)
-	return true
-}
-
-// tryPushAll appends as much of the group as fits without waiting and
-// returns the count accepted; the caller sheds the remainder. Callers
-// hold r.mu.
-func (r *ring) tryPushAll(pkts []Packet) int {
-	t := r.tail.Load()
-	free := uint64(len(r.buf)) - (t - r.head.Load())
-	n := uint64(len(pkts))
-	if n > free {
-		n = free
-	}
-	for i := uint64(0); i < n; i++ {
-		r.buf[(t+i)&r.mask] = pkts[i]
-	}
-	if n > 0 {
-		r.tail.Store(t + n)
-	}
-	return int(n)
-}
-
-// pushAll appends a group of packets, publishing the tail cursor once
-// per contiguous free span instead of once per packet. When the group
-// exceeds the free space it publishes what fits and waits for the
-// consumer, so oversized groups drain incrementally rather than
-// deadlocking. Callers hold r.mu.
-func (r *ring) pushAll(pkts []Packet) {
-	t := r.tail.Load()
-	for len(pkts) > 0 {
-		free := uint64(len(r.buf)) - (t - r.head.Load())
-		for spin := 0; free == 0; spin++ {
-			idleWait(spin)
-			free = uint64(len(r.buf)) - (t - r.head.Load())
-		}
-		n := uint64(len(pkts))
-		if n > free {
-			n = free
-		}
-		for i := uint64(0); i < n; i++ {
-			r.buf[(t+i)&r.mask] = pkts[i]
-		}
-		t += n
-		r.tail.Store(t)
-		pkts = pkts[n:]
-	}
-}
-
-// take moves up to max available packets into dst. Only the consumer
-// goroutine (a shard worker) may call it. Slots are released (head
-// advanced) as soon as the packets are copied out; completion is
-// published separately via done.
-//
-//p2p:confined pipeworker
-func (r *ring) take(dst []Packet, max int) []Packet {
-	h := r.head.Load()
-	avail := r.tail.Load() - h
-	if avail == 0 {
-		return dst
-	}
-	if avail > uint64(max) {
-		avail = uint64(max)
-	}
-	// The span wraps the ring at most once, so two bulk copies replace
-	// the per-packet masked loop — memmove keeps the drain cost per
-	// packet flat as BatchSize grows.
-	lo := h & r.mask
-	n := uint64(len(r.buf)) - lo
-	if n > avail {
-		n = avail
-	}
-	dst = append(dst, r.buf[lo:lo+n]...)
-	dst = append(dst, r.buf[:avail-n]...)
-	r.head.Store(h + avail)
-	return dst
-}
-
-// idleWait is the shared backoff: yield the processor for a while, then
-// sleep briefly so an idle pipeline does not burn a core.
-func idleWait(spin int) {
-	if spin < 128 {
-		runtime.Gosched()
-		return
-	}
-	time.Sleep(20 * time.Microsecond)
 }

@@ -260,13 +260,72 @@ func TestPipelineUnroutable(t *testing.T) {
 
 // TestPipelineCloseIdempotent double-Close and post-Close Stats.
 func TestPipelineCloseIdempotent(t *testing.T) {
-	pipe, err := NewPipeline(Config{ClientNetwork: testNet}, PipelineConfig{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, fe := range frontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			pipe := fe.start(t, Config{ClientNetwork: testNet}, PipelineConfig{Shards: 2})
+			pipe.Close()
+			pipe.Close()
+			if s := pipe.Stats(); s != (Stats{}) {
+				t.Fatalf("fresh pipeline has stats %+v", s)
+			}
+		})
 	}
-	pipe.Close()
-	pipe.Close()
-	if s := pipe.Stats(); s != (Stats{}) {
-		t.Fatalf("fresh pipeline has stats %+v", s)
-	}
+}
+
+// frontEnd is the method set the executor gives both Pipeline and
+// TenantPipeline, plus Stats.
+type frontEnd interface {
+	Submit(Packet)
+	TrySubmit(Packet) bool
+	SubmitBatch([]Packet)
+	Drain()
+	Close()
+	Verdicts() (passed, dropped int64)
+	Shed() (passed, dropped int64)
+	Stats() Stats
+}
+
+// frontEnds starts each executor front end from one Config and
+// PipelineConfig, so the executor tests run over both. The
+// TenantPipeline variant registers cfg.ClientNetwork (a /16) as its
+// only subscriber on a manager with pcfg.Shards shards.
+var frontEnds = []struct {
+	name  string
+	start func(t *testing.T, cfg Config, pcfg PipelineConfig) frontEnd
+}{
+	{"Pipeline", func(t *testing.T, cfg Config, pcfg PipelineConfig) frontEnd {
+		p, err := NewPipeline(cfg, pcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}},
+	{"TenantPipeline", func(t *testing.T, cfg Config, pcfg PipelineConfig) frontEnd {
+		m, err := NewTenantManager(TenantManagerConfig{
+			Tenant: cfg, PrefixBits: 16, Shards: pcfg.Shards, Telemetry: cfg.Telemetry,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.AddTenant(TenantConfig{Network: cfg.ClientNetwork}); err != nil {
+			t.Fatal(err)
+		}
+		return tenantFrontEnd{NewTenantPipeline(m, TenantPipelineConfig{
+			RingSize: pcfg.RingSize, BatchSize: pcfg.BatchSize,
+			OnOverload: pcfg.OnOverload, testGate: pcfg.testGate,
+		}), m}
+	}},
+}
+
+// tenantFrontEnd adds Pipeline-shaped Stats to a TenantPipeline: its
+// only tenant's counters plus its shed counts.
+type tenantFrontEnd struct {
+	*TenantPipeline
+	m *TenantManager
+}
+
+func (f tenantFrontEnd) Stats() Stats {
+	s, _ := f.m.TenantStats(f.m.TenantIDs()[0])
+	s.ShedPassed, s.ShedDropped = f.Shed()
+	return s
 }

@@ -136,9 +136,10 @@ func (t *Telemetry) attach(l *Limiter) {
 }
 
 // attachPipeline registers one pipeline's verdict and shed counters
-// under the next pipeline label. Called from NewPipeline when
-// Config.Telemetry is set.
-func (t *Telemetry) attachPipeline(p *Pipeline) {
+// under the next pipeline label. Called when a Pipeline or
+// TenantPipeline starts with telemetry attached; both share the one
+// pipeline label space.
+func (t *Telemetry) attachPipeline(e *executor) {
 	t.mu.Lock()
 	idx := t.pipelines
 	t.pipelines++
@@ -149,13 +150,13 @@ func (t *Telemetry) attachPipeline(p *Pipeline) {
 		return func() float64 { return float64(c.Value()) }
 	}
 	t.reg.CounterFunc("p2pbound_pipeline_verdicts_total", "Packets decided by the pipeline, by verdict.",
-		counter(p.passed), metrics.L("verdict", "pass"), lbl)
+		counter(e.passed), metrics.L("verdict", "pass"), lbl)
 	t.reg.CounterFunc("p2pbound_pipeline_verdicts_total", "Packets decided by the pipeline, by verdict.",
-		counter(p.dropped), metrics.L("verdict", "drop"), lbl)
+		counter(e.dropped), metrics.L("verdict", "drop"), lbl)
 	t.reg.CounterFunc("p2pbound_pipeline_shed_total", "Packets shed undecided by the overload policy.",
-		counter(p.shedPassed), metrics.L("verdict", "pass"), lbl)
+		counter(e.shedPassed), metrics.L("verdict", "pass"), lbl)
 	t.reg.CounterFunc("p2pbound_pipeline_shed_total", "Packets shed undecided by the overload policy.",
-		counter(p.shedDropped), metrics.L("verdict", "drop"), lbl)
+		counter(e.shedDropped), metrics.L("verdict", "drop"), lbl)
 }
 
 // attachTenantManager registers a TenantManager's control-plane series:
@@ -218,28 +219,6 @@ func (t *Telemetry) attachTenant(tn *tenant) {
 		stat(func(s Stats) int64 { return s.InboundPackets }), metrics.L("dir", "inbound"), lbl)
 	t.reg.CounterFunc("p2pbound_tenant_dropped_total", "Unmatched inbound packets dropped for this subscriber.",
 		stat(func(s Stats) int64 { return s.Dropped }), lbl)
-}
-
-// attachTenantPipeline registers a TenantPipeline's verdict and shed
-// counters; it shares the pipeline label space with attachPipeline.
-func (t *Telemetry) attachTenantPipeline(p *TenantPipeline) {
-	t.mu.Lock()
-	idx := t.pipelines
-	t.pipelines++
-	t.mu.Unlock()
-	lbl := metrics.L("pipeline", strconv.Itoa(idx))
-
-	counter := func(c *metrics.Counter) func() float64 {
-		return func() float64 { return float64(c.Value()) }
-	}
-	t.reg.CounterFunc("p2pbound_pipeline_verdicts_total", "Packets decided by the pipeline, by verdict.",
-		counter(p.passed), metrics.L("verdict", "pass"), lbl)
-	t.reg.CounterFunc("p2pbound_pipeline_verdicts_total", "Packets decided by the pipeline, by verdict.",
-		counter(p.dropped), metrics.L("verdict", "drop"), lbl)
-	t.reg.CounterFunc("p2pbound_pipeline_shed_total", "Packets shed undecided by the overload policy.",
-		counter(p.shedPassed), metrics.L("verdict", "pass"), lbl)
-	t.reg.CounterFunc("p2pbound_pipeline_shed_total", "Packets shed undecided by the overload policy.",
-		counter(p.shedDropped), metrics.L("verdict", "drop"), lbl)
 }
 
 // attachReplicas registers a fleet's replication telemetry, one label

@@ -141,9 +141,9 @@ type routeTable struct {
 //
 // Concurrency contract: packet processing, hydration, and eviction are
 // single-writer per shard (use TenantPipeline for one worker per
-// shard); AddTenants, SaveState, and RestoreState are control-plane
-// calls that must not run concurrently with processing; Stats,
-// TenantStats, and telemetry scrapes may run at any time.
+// shard); SaveTenantState and RestoreTenantState are control-plane
+// calls that must not run concurrently with processing; AddTenants,
+// Stats, TenantStats, and telemetry scrapes may run at any time.
 type TenantManager struct {
 	cfg     TenantManagerConfig
 	tmpl    Config
@@ -232,10 +232,14 @@ func (m *TenantManager) AddTenant(tc TenantConfig) error {
 
 // AddTenants registers a batch of subscriber networks. The route table
 // is cloned once per call — registering 100k tenants in one batch costs
-// one copy, not 100k — and published atomically, so processing on other
-// shards may continue while tenants are added; the new tenants become
-// routable when the call returns. Tenants start cold: no filter
-// vectors are allocated until their first packet hydrates them.
+// one copy, not 100k — and published atomically, so it may run
+// concurrently with packet processing; the new tenants become routable
+// when the call returns. Tenants start cold: no filter vectors are
+// allocated until their first packet hydrates them. A TenantPipeline
+// routes each packet once, at submit time: a packet it queued as
+// tenantless before the call stays tenantless and is dropped as
+// NoTenant, unless its subscriber landed on shard 0, where such packets
+// are decided.
 func (m *TenantManager) AddTenants(tcs []TenantConfig) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -350,10 +354,24 @@ func (m *TenantManager) Process(p Packet) Decision {
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) ProcessBatch(pkts []Packet, dst []Decision) []Decision {
+	return m.processBatch(nil, pkts, dst)
+}
+
+// processBatch is ProcessBatch, scoped to one shard when owner is
+// non-nil: a packet routing to another shard's tenant is dropped and
+// counted NoTenant, never decided on a tenant this goroutine does not
+// own. That happens only when the tenant was registered after a
+// TenantPipeline producer routed the packet as tenantless.
+//
+//p2p:confined tenantshard
+func (m *TenantManager) processBatch(owner *tshard, pkts []Packet, dst []Decision) []Decision {
 	var run *tenant
 	start := 0
 	for i := range pkts {
 		t, ok := m.route(&pkts[i])
+		if t != nil && owner != nil && t.sh != owner {
+			t = nil
+		}
 		if t == nil {
 			if ok {
 				m.noTenant.Add(1)

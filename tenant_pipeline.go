@@ -1,12 +1,6 @@
 package p2pbound
 
-import (
-	"sync"
-	"sync/atomic"
-	"time"
-
-	"p2pbound/internal/metrics"
-)
+import "time"
 
 // TenantPipelineConfig parameterizes a TenantPipeline. The zero value
 // of every field selects a sensible default.
@@ -33,32 +27,22 @@ type TenantPipelineConfig struct {
 	testGate <-chan struct{}
 }
 
-// TenantPipeline is the concurrent driver for a TenantManager: one
-// worker goroutine per tenant shard, each fed by a fixed-capacity ring.
-// Producers route packets to the ring of the shard owning the packet's
-// subscriber (both directions of a subscriber's flows reach the same
-// shard), so every tenant's packets are decided by exactly one
-// goroutine — the single-writer contract the manager's hydration and
-// eviction machinery relies on. Packets matching no subscriber are
-// carried to shard 0 and dropped defensively there, preserving the
-// manager's counters.
+// TenantPipeline is the concurrent driver for a TenantManager: the
+// sharded executor with one worker goroutine per tenant shard, each fed
+// by a fixed-capacity ring. Producers route each packet once, at submit
+// time, to the ring of the shard owning the packet's subscriber (both
+// directions of a subscriber's flows reach the same shard), so every
+// tenant's packets are decided by exactly one goroutine — the
+// single-writer contract the manager's hydration and eviction machinery
+// relies on. Packets matching no subscriber are carried to shard 0 and
+// dropped defensively there, preserving the manager's counters.
 //
 // Decisions are asynchronous, as with Pipeline; use the TenantManager
 // directly when per-packet verdicts are needed.
 type TenantPipeline struct {
+	executor
 	m          *TenantManager
-	rings      []*ring
-	scratch    sync.Pool // *routeScratch
-	wg         sync.WaitGroup
-	closed     atomic.Bool //p2p:atomic
-	policy     ShedPolicy
 	evictAfter time.Duration
-	gate       <-chan struct{}
-
-	passed      *metrics.Counter
-	dropped     *metrics.Counter
-	shedPassed  *metrics.Counter
-	shedDropped *metrics.Counter
 }
 
 // NewTenantPipeline starts one worker per tenant shard of m. Close must
@@ -66,221 +50,38 @@ type TenantPipeline struct {
 // packet processing on every shard: do not call m.Process,
 // m.ProcessBatch, or m.EvictIdle while the pipeline is open.
 func NewTenantPipeline(m *TenantManager, pcfg TenantPipelineConfig) *TenantPipeline {
-	shards := m.Shards()
-	size := pcfg.RingSize
-	if size == 0 {
-		size = 2048
-	}
-	if size < 2 {
-		size = 2
-	}
-	for size&(size-1) != 0 {
-		size += size & -size
-	}
-	batch := pcfg.BatchSize
-	if batch <= 0 {
-		batch = 256
-	}
-	p := &TenantPipeline{
-		m:           m,
-		rings:       make([]*ring, shards),
-		policy:      pcfg.OnOverload,
-		evictAfter:  pcfg.EvictAfter,
-		gate:        pcfg.testGate,
-		passed:      metrics.NewCounter(shards),
-		dropped:     metrics.NewCounter(shards),
-		shedPassed:  metrics.NewCounter(shards),
-		shedDropped: metrics.NewCounter(shards),
-	}
-	if m.cfg.Telemetry != nil {
-		m.cfg.Telemetry.attachTenantPipeline(p)
-	}
-	p.scratch.New = func() any {
-		sc := &routeScratch{byShard: make([][]Packet, shards)}
-		for i := range sc.byShard {
-			sc.byShard[i] = make([]Packet, 0, submitChunk)
-		}
-		return sc
-	}
-	for i := range p.rings {
-		p.rings[i] = newRing(size)
-	}
-	p.wg.Add(shards)
-	for i := 0; i < shards; i++ {
-		go p.worker(i, batch)
-	}
+	p := &TenantPipeline{m: m, evictAfter: pcfg.EvictAfter}
+	p.start(p, m.Shards(), pcfg.RingSize, pcfg.BatchSize, pcfg.OnOverload, pcfg.testGate, m.cfg.Telemetry)
 	return p
 }
 
-// shardFor routes one packet to a worker ring: its subscriber's shard,
-// or shard 0 for packets with no subscriber (worker 0 applies the
-// manager's defensive-drop policy to them).
-func (p *TenantPipeline) shardFor(pkt *Packet) int {
-	if sh := p.m.shardOf(pkt); sh >= 0 {
-		return sh
-	}
-	return 0
-}
+// route sends a packet to its subscriber's shard, or to shard 0 for
+// packets with no subscriber (worker 0 applies the manager's
+// defensive-drop policy to them).
+func (p *TenantPipeline) route(pkt Packet) int { return max(p.m.shardOf(&pkt), 0) }
 
-// Submit routes one packet to its shard ring, blocking on a full ring
-// under ShedBlock and shedding by policy otherwise. It must not be
-// called after Close.
-func (p *TenantPipeline) Submit(pkt Packet) {
-	if p.closed.Load() {
-		panic("p2pbound: Submit on closed TenantPipeline")
-	}
-	sh := p.shardFor(&pkt)
-	r := p.rings[sh]
-	if p.policy == ShedBlock {
-		r.mu.Lock()
-		r.push(pkt)
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Lock()
-	ok := r.tryPush(pkt)
-	r.mu.Unlock()
-	if !ok {
-		p.shed(sh, 1)
+func (p *TenantPipeline) routeChunk(pkts []Packet, shards []int) {
+	for i := range pkts {
+		shards[i] = max(p.m.shardOf(&pkts[i]), 0)
 	}
 }
 
-// SubmitBatch routes a slice of packets with per-shard staging, one
-// lock acquisition per shard group per chunk — the same amortization as
-// Pipeline.SubmitBatch. Packets must be in non-decreasing timestamp
-// order per producer. It must not be called after Close.
-func (p *TenantPipeline) SubmitBatch(pkts []Packet) {
-	if p.closed.Load() {
-		panic("p2pbound: SubmitBatch on closed TenantPipeline")
-	}
-	sc := p.scratch.Get().(*routeScratch)
-	for len(pkts) > 0 {
-		n := len(pkts)
-		if n > submitChunk {
-			n = submitChunk
-		}
-		chunk := pkts[:n]
-		pkts = pkts[n:]
-		for i := range sc.byShard {
-			sc.byShard[i] = sc.byShard[i][:0]
-		}
-		for i := range chunk {
-			sh := p.shardFor(&chunk[i])
-			sc.byShard[sh] = append(sc.byShard[sh], chunk[i])
-		}
-		for sh, group := range sc.byShard {
-			if len(group) == 0 {
-				continue
-			}
-			r := p.rings[sh]
-			r.mu.Lock()
-			if p.policy == ShedBlock {
-				r.pushAll(group)
-				r.mu.Unlock()
-				continue
-			}
-			accepted := r.tryPushAll(group)
-			r.mu.Unlock()
-			p.shed(sh, len(group)-accepted)
-		}
-	}
-	p.scratch.Put(sc)
-}
-
-// shed records n packets bound for shard sh turned away by the overload
-// policy.
-func (p *TenantPipeline) shed(sh, n int) {
-	if n <= 0 {
-		return
-	}
-	if p.policy == ShedFailOpen {
-		p.shedPassed.Add(sh, int64(n))
-	} else {
-		p.shedDropped.Add(sh, int64(n))
-	}
-}
-
-// Drain blocks until every packet submitted before the call has been
-// decided.
-func (p *TenantPipeline) Drain() {
-	for _, r := range p.rings {
-		target := r.tail.Load()
-		for spin := 0; r.done.Load() < target; spin++ {
-			idleWait(spin)
-		}
-	}
-}
-
-// Close drains the rings, stops every worker, and waits for them to
-// exit. No Submit or SubmitBatch may be issued after (or concurrently
-// with) Close. Close is idempotent.
-func (p *TenantPipeline) Close() {
-	p.closed.Store(true)
-	p.wg.Wait()
-}
-
-// Verdicts returns the number of passed and dropped packets decided so
-// far; shed packets are reported separately by Shed. Safe at any time.
-func (p *TenantPipeline) Verdicts() (passed, dropped int64) {
-	return p.passed.Value(), p.dropped.Value()
-}
-
-// Shed returns the number of packets turned away undecided by the
-// overload policy. Safe at any time.
-func (p *TenantPipeline) Shed() (passed, dropped int64) {
-	return p.shedPassed.Value(), p.shedDropped.Value()
-}
-
-// Manager returns the TenantManager the pipeline drives.
-func (p *TenantPipeline) Manager() *TenantManager { return p.m }
-
-// worker owns tenant shard sh: it drains the shard ring in batches,
-// decides them through the manager (run-grouped per tenant), and — when
-// the ring runs dry and EvictAfter is set — spills tenants idle past
-// the horizon. Both halves run on this one goroutine, which is what
-// lets hydration and eviction share unsynchronized state with packet
-// processing.
+// decide runs one batch through the manager, scoped to shard sh: a
+// packet whose subscriber was registered on another shard after the
+// packet was routed is dropped as NoTenant rather than decided here. It
+// must only run on shard sh's worker goroutine.
 //
-//p2p:confined pipeworker
-//p2p:confined tenantshard
-func (p *TenantPipeline) worker(sh int, batchSize int) {
-	defer p.wg.Done()
-	if p.gate != nil {
-		<-p.gate
-	}
-	r := p.rings[sh]
-	tsh := p.m.shards[sh]
-	batch := make([]Packet, 0, batchSize)
-	verdicts := make([]Decision, 0, batchSize)
-	spin := 0
-	for {
-		batch = r.take(batch[:0], batchSize)
-		if len(batch) == 0 {
-			if p.closed.Load() {
-				if batch = r.take(batch[:0], batchSize); len(batch) == 0 {
-					return
-				}
-			} else {
-				if spin == 0 && p.evictAfter > 0 {
-					p.m.evictIdleShard(tsh, p.evictAfter)
-				}
-				idleWait(spin)
-				spin++
-				continue
-			}
-		}
-		spin = 0
-		verdicts = p.m.ProcessBatch(batch, verdicts[:0])
-		var pass, drop int64
-		for _, v := range verdicts {
-			if v == Pass {
-				pass++
-			} else {
-				drop++
-			}
-		}
-		p.passed.Add(sh, pass)
-		p.dropped.Add(sh, drop)
-		r.done.Add(uint64(len(batch)))
+//p2p:confined tenantshard entry
+func (p *TenantPipeline) decide(sh int, batch []Packet, dst []Decision) []Decision {
+	return p.m.processBatch(p.m.shards[sh], batch, dst)
+}
+
+// idle spills shard sh's tenants idle for at least EvictAfter whenever
+// the ring runs dry. It must only run on shard sh's worker goroutine.
+//
+//p2p:confined tenantshard entry
+func (p *TenantPipeline) idle(sh int, final bool) {
+	if !final && p.evictAfter > 0 {
+		p.m.evictIdleShard(p.m.shards[sh], p.evictAfter)
 	}
 }

@@ -83,10 +83,10 @@ type tenantFrame struct {
 
 // SaveTenantState serializes every registered tenant's suspended state
 // so a restarted edge process can resume admitting the flows each
-// subscriber's filter was tracking. It is a control-plane call: like
-// AddTenants, it must not run concurrently with packet processing
-// (quiesce or Drain a TenantPipeline first). Hydrated tenants are
-// serialized in place without being evicted.
+// subscriber's filter was tracking. It is a control-plane call: it
+// must not run concurrently with packet processing (quiesce or Drain a
+// TenantPipeline first). Hydrated tenants are serialized in place
+// without being evicted.
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) SaveTenantState(w io.Writer) error {

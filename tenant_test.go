@@ -457,6 +457,33 @@ func TestTenantPipelineMatchesDirect(t *testing.T) {
 	}
 }
 
+// TestTenantPipelineAddTenantRoutesOnce: a packet is decided on the
+// shard its producer routed it to. A packet queued as tenantless stays
+// tenantless when its subscriber is registered on another shard before
+// the worker reaches it — it must not be decided by a worker that does
+// not own the tenant.
+func TestTenantPipelineAddTenantRoutesOnce(t *testing.T) {
+	m := newTestManager(t, 2, func(c *TenantManagerConfig) { c.Shards = 2 })
+	gate := make(chan struct{})
+	p := NewTenantPipeline(m, TenantPipelineConfig{testGate: gate})
+	p.Submit(tenantOutbound(3, 1, 0)) // tenant 3 unknown: ring 0
+	// Key 0x0A0003 is odd, so tenant 3 lands on shard 1.
+	if err := m.AddTenant(TenantConfig{ID: tenantID24(3), Network: tenantNet24(3)}); err != nil {
+		t.Fatal(err)
+	}
+	p.Submit(tenantOutbound(3, 2, time.Millisecond)) // ring 1
+	close(gate)
+	p.Drain()
+	p.Close()
+	s, ok := m.TenantStats(tenantID24(3))
+	if !ok {
+		t.Fatal("tenant 3 not registered")
+	}
+	if s.OutboundPackets != 1 || m.Stats().NoTenant != 1 {
+		t.Fatalf("outbound=%d noTenant=%d, want 1 and 1", s.OutboundPackets, m.Stats().NoTenant)
+	}
+}
+
 // TestTenantPipelineEvictAfter: shard workers spill idle tenants on
 // their own once the ring runs dry.
 func TestTenantPipelineEvictAfter(t *testing.T) {
