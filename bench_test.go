@@ -484,9 +484,14 @@ func BenchmarkLimiterProcessBatchTelemetry(b *testing.B) {
 // pipeline's verdict counts are identical and to time the
 // single-goroutine baseline; the measured ratio is reported as
 // "x-vs-sequential" alongside "cores" (GOMAXPROCS). The pipeline buys
-// throughput with parallelism, so the ratio scales with cores: on one
-// core it is < 1 (routing and ring hand-off cost with no parallelism to
-// spend it on); ≥ 2× needs ≥ 4 cores for the 4 shard workers.
+// throughput with parallelism, so the ratio scales with cores, but here
+// the default geometry keeps the table in cache and the filter's work
+// per packet is small next to routing and ring hand-off. On a 2-vCPU
+// Intel Xeon (Go 1.24) the 4 workers and the producer share two cores
+// and the ratio reads 0.81–1.05 over three 20-iteration runs; the
+// single timed sequential pass makes it noisy. The two-shard scaling
+// figure is p2pbench's sharded workload against isp-large, which do the
+// same filter work on two workers and on one thread.
 func BenchmarkPipeline(b *testing.B) {
 	pkts := benchPublicTrace()
 	cfg := Config{ClientNetwork: "140.112.0.0/16"}

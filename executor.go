@@ -157,16 +157,20 @@ func (e *executor) shed(sh, n int) {
 	}
 }
 
-// submitChunk bounds the staging buffer SubmitBatch classifies into
-// before publishing to the shard rings.
-const submitChunk = 8192
+// submitChunk is the slice SubmitBatch routes before publishing it to
+// the shard rings. Small enough that the workers decide one slice while
+// the producer routes the next, large enough that a shard's group still
+// amortizes its lock and cursor store over a few hundred packets.
+const submitChunk = 512
 
 // SubmitBatch routes a slice of packets. Instead of locking a ring per
 // packet it classifies a chunk into per-shard staging buffers and then
 // publishes each shard's group with one lock acquisition and one ring
 // cursor update — the amortization that lets a single producer outrun
-// several shard workers. Packets must be in non-decreasing timestamp
-// order (per producer, as with Submit). Under a non-blocking shed
+// several shard workers. Each chunk is published before the next is
+// routed, so routing overlaps deciding. Packets must be in
+// non-decreasing timestamp order (per producer, as with Submit). Under
+// a non-blocking shed
 // policy, packets that do not fit a full shard ring are shed by policy
 // and counted instead of enqueued. It must not be called after Close.
 func (e *executor) SubmitBatch(pkts []Packet) {
@@ -216,13 +220,28 @@ type routeScratch struct {
 
 // Drain blocks until every packet submitted before the call has been
 // decided. Concurrent Submits are allowed; packets submitted while Drain
-// is waiting may or may not be covered.
+// is waiting may or may not be covered. Concurrent Drains are allowed
+// too: each returns once the packets submitted before its own call are
+// decided. Drain sleeps on each ring's done condition rather than
+// polling; the worker broadcasts it while a Drain is registered.
 func (e *executor) Drain() {
 	for _, r := range e.rings {
 		target := r.tail.Load()
-		for spin := 0; r.done.Load() < target; spin++ {
-			idleWait(spin)
+		if r.done.Load() >= target {
+			continue
 		}
+		r.doneMu.Lock()
+		// Registering before the re-check pairs with the worker's
+		// done store before its waiters load: either this load sees
+		// the worker's progress, or the worker sees the waiter and
+		// broadcasts under doneMu, which it cannot take until Wait
+		// has released it.
+		r.waiters.Add(1)
+		for r.done.Load() < target {
+			r.doneCond.Wait()
+		}
+		r.waiters.Add(-1)
+		r.doneMu.Unlock()
 	}
 }
 
@@ -231,6 +250,9 @@ func (e *executor) Drain() {
 // with) Close. Close is idempotent.
 func (e *executor) Close() {
 	e.closed.Store(true)
+	for _, r := range e.rings {
+		r.wakeParked()
+	}
 	e.wg.Wait()
 }
 
@@ -250,10 +272,10 @@ func (e *executor) Shed() (passed, dropped int64) {
 }
 
 // worker owns shard sh: it drains the shard ring in batches, decides
-// them through the backend, publishes verdict counts, and runs the
-// backend's idle hook whenever the ring runs dry. The `done` cursor
-// advances only after the batch is decided, which is what Drain
-// synchronizes on.
+// them through the backend, publishes verdict counts, and whenever the
+// ring runs dry runs the backend's idle hook and parks until a producer
+// or Close wakes it. The `done` cursor advances only after the batch is
+// decided, which is what Drain synchronizes on.
 //
 //p2p:confined pipeworker
 func (e *executor) worker(sh int) {
@@ -264,7 +286,6 @@ func (e *executor) worker(sh int) {
 	r := e.rings[sh]
 	batch := make([]Packet, 0, e.batch)
 	verdicts := make([]Decision, 0, e.batch)
-	spin := 0
 	for {
 		batch = r.take(batch[:0], e.batch)
 		if len(batch) == 0 {
@@ -276,15 +297,11 @@ func (e *executor) worker(sh int) {
 					return
 				}
 			} else {
-				if spin == 0 {
-					e.be.idle(sh, false)
-				}
-				idleWait(spin)
-				spin++
+				e.be.idle(sh, false)
+				e.park(r)
 				continue
 			}
 		}
-		spin = 0
 		verdicts = e.be.decide(sh, batch, verdicts[:0])
 		var pass, drop int64
 		for _, v := range verdicts {
@@ -297,17 +314,52 @@ func (e *executor) worker(sh int) {
 		e.passed.Add(sh, pass)
 		e.dropped.Add(sh, drop)
 		r.done.Add(uint64(len(batch)))
+		if r.waiters.Load() > 0 {
+			r.doneMu.Lock()
+			r.doneCond.Broadcast()
+			r.doneMu.Unlock()
+		}
 	}
+}
+
+// park blocks r's worker until a producer publishes to the ring or
+// Close runs. Setting sleeping before re-checking the cursors pairs with
+// a waker's store before its sleeping load (wakeParked): either the
+// re-check sees the new packets or closed, or the waker sees the flag.
+// Whoever clears sleeping owns the park's one wake token, so a worker
+// that finds work but loses that race still takes the token, and none
+// outlives its park.
+//
+//p2p:confined pipeworker
+func (e *executor) park(r *ring) {
+	r.sleeping.Store(true)
+	if r.tail.Load() != r.head.Load() || e.closed.Load() {
+		if r.sleeping.CompareAndSwap(true, false) {
+			return
+		}
+	}
+	<-r.wake
 }
 
 // ring is a fixed-capacity single-consumer packet queue. The consumer
 // side is lock-free; the producer side is serialized by mu (uncontended
 // in the common single-producer deployment). tail is the next slot to
 // write, head the next to read, done the count of decided packets.
+//
+// An idle consumer parks on wake (capacity 1) with sleeping set, and
+// every tail store is followed by wakeParked; Drain callers register in
+// waiters and sleep on doneCond, which the consumer broadcasts after
+// advancing done.
 type ring struct {
 	buf  []Packet
 	mask uint64
 	mu   sync.Mutex
+
+	wake     chan struct{}
+	sleeping atomic.Bool //p2p:atomic
+	doneMu   sync.Mutex
+	doneCond sync.Cond
+	waiters  atomic.Int32 //p2p:atomic
 
 	// The three cursors live on separate cache lines so the producer's
 	// tail stores do not false-share with the consumer's head/done.
@@ -319,13 +371,37 @@ type ring struct {
 }
 
 func newRing(size int) *ring {
-	return &ring{
+	r := &ring{
 		buf:  make([]Packet, size),
 		mask: uint64(size - 1),
+		wake: make(chan struct{}, 1),
+	}
+	r.doneCond.L = &r.doneMu
+	return r
+}
+
+// wakeParked wakes the consumer if it is parked. The caller whose
+// CompareAndSwap clears sleeping owns the park's token, and the channel
+// is empty until that token is sent, so the send never falls through to
+// default: the select only states that it cannot block. Producers call
+// it under r.mu after every tail store.
+func (r *ring) wakeParked() {
+	if r.sleeping.Load() && r.sleeping.CompareAndSwap(true, false) {
+		select {
+		case r.wake <- struct{}{}:
+		default:
+		}
 	}
 }
 
-// push appends one packet, spinning while the ring is full. Callers hold
+// publish stores the tail cursor and wakes a parked consumer. Callers
+// hold r.mu.
+func (r *ring) publish(t uint64) {
+	r.tail.Store(t)
+	r.wakeParked()
+}
+
+// push appends one packet, waiting while the ring is full. Callers hold
 // r.mu.
 func (r *ring) push(p Packet) {
 	t := r.tail.Load()
@@ -333,7 +409,7 @@ func (r *ring) push(p Packet) {
 		idleWait(spin)
 	}
 	r.buf[t&r.mask] = p
-	r.tail.Store(t + 1)
+	r.publish(t + 1)
 }
 
 // tryPush appends one packet if the ring has a free slot, reporting
@@ -344,7 +420,7 @@ func (r *ring) tryPush(p Packet) bool {
 		return false
 	}
 	r.buf[t&r.mask] = p
-	r.tail.Store(t + 1)
+	r.publish(t + 1)
 	return true
 }
 
@@ -362,15 +438,15 @@ func (r *ring) tryPushAll(pkts []Packet) int {
 		r.buf[(t+i)&r.mask] = pkts[i]
 	}
 	if n > 0 {
-		r.tail.Store(t + n)
+		r.publish(t + n)
 	}
 	return int(n)
 }
 
 // pushAll appends a group of packets, publishing the tail cursor once
 // per contiguous free span instead of once per packet. When the group
-// exceeds the free space it publishes what fits and waits for the
-// consumer, so oversized groups drain incrementally rather than
+// exceeds the free space it publishes what fits, waking the consumer,
+// and waits for it, so oversized groups drain incrementally rather than
 // deadlocking. Callers hold r.mu.
 func (r *ring) pushAll(pkts []Packet) {
 	t := r.tail.Load()
@@ -388,7 +464,7 @@ func (r *ring) pushAll(pkts []Packet) {
 			r.buf[(t+i)&r.mask] = pkts[i]
 		}
 		t += n
-		r.tail.Store(t)
+		r.publish(t)
 		pkts = pkts[n:]
 	}
 }
@@ -422,8 +498,10 @@ func (r *ring) take(dst []Packet, max int) []Packet {
 	return dst
 }
 
-// idleWait is the shared backoff: yield the processor for a while, then
-// sleep briefly so an idle pipeline does not burn a core.
+// idleWait is a producer's backoff while its shard ring is full: yield
+// the processor for a while, then sleep briefly. The wait runs under
+// r.mu, so it stays bounded and never parks; the consumer it waits on
+// is awake, because every published packet signalled it.
 func idleWait(spin int) {
 	if spin < 128 {
 		runtime.Gosched()

@@ -23,9 +23,17 @@
 //     operations or blocking I/O, discovered by a per-package fixed
 //     point and propagated across packages as facts.
 //
+// A select with a default clause never blocks, so neither it nor the
+// send and receive operations heading its cases are reported; the
+// operands of those operations and the clause bodies are audited as
+// usual. This is how a producer wakes a parked consumer under its ring
+// lock.
+//
 // time.Sleep does not propagate through the fact: a bounded, constant
-// sleep inside a backpressure helper (the SPSC ring's idleWait) is a
-// deliberate design, unlike an unbounded channel or I/O wait. Dynamic
+// sleep inside a backpressure helper is a deliberate design, unlike an
+// unbounded channel or I/O wait. The one such helper is the executor
+// ring's idleWait, which backs only a producer's wait for space on a
+// full ring; idle workers and Drain park instead of polling. Dynamic
 // calls (interface methods, func values) are outside the static
 // contract, exactly as in the hotpath analyzer.
 package lockhold
@@ -130,6 +138,7 @@ func run(pass *analysis.Pass) error {
 // excluded — a closure handed elsewhere runs on the callee's schedule.
 func directlyBlocks(pass *analysis.Pass, blocks map[*types.Func]string, fd *ast.FuncDecl) string {
 	why := ""
+	nonBlocking := make(map[ast.Node]bool)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		if why != "" {
 			return false
@@ -138,13 +147,17 @@ func directlyBlocks(pass *analysis.Pass, blocks map[*types.Func]string, fd *ast.
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			why = "a channel send"
+			if !nonBlocking[n] {
+				why = "a channel send"
+			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
+			if n.Op == token.ARROW && !nonBlocking[n] {
 				why = "a channel receive"
 			}
 		case *ast.SelectStmt:
-			why = "a select"
+			if !markNonBlocking(n, nonBlocking) {
+				why = "a select"
+			}
 		case *ast.RangeStmt:
 			if isChan(pass.TypesInfo.TypeOf(n.X)) {
 				why = "a range over a channel"
@@ -323,18 +336,23 @@ func (c *checker) auditStmt(stmt ast.Stmt, mu string) {
 			return
 		}
 	}
+	nonBlocking := make(map[ast.Node]bool)
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			c.report(n.Pos(), mu, "performs a channel send")
+			if !nonBlocking[n] {
+				c.report(n.Pos(), mu, "performs a channel send")
+			}
 		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
+			if n.Op == token.ARROW && !nonBlocking[n] {
 				c.report(n.Pos(), mu, "performs a channel receive")
 			}
 		case *ast.SelectStmt:
-			c.report(n.Pos(), mu, "selects on channels")
+			if !markNonBlocking(n, nonBlocking) {
+				c.report(n.Pos(), mu, "selects on channels")
+			}
 		case *ast.RangeStmt:
 			if isChan(c.pass.TypesInfo.TypeOf(n.X)) {
 				c.report(n.Pos(), mu, "ranges over a channel")
@@ -414,6 +432,32 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 func isInterfaceMethod(fn *types.Func) bool {
 	recv := fn.Type().(*types.Signature).Recv()
 	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// markNonBlocking reports whether sel has a default clause, and if so
+// adds the send or receive heading each of its cases to ops: such a
+// select never blocks, so those operations are not blocking constructs.
+func markNonBlocking(sel *ast.SelectStmt, ops map[ast.Node]bool) bool {
+	hasDefault := false
+	for _, cl := range sel.Body.List {
+		if cc, ok := cl.(*ast.CommClause); ok && cc.Comm == nil {
+			hasDefault = true
+		}
+	}
+	if !hasDefault {
+		return false
+	}
+	for _, cl := range sel.Body.List {
+		switch comm := cl.(*ast.CommClause).Comm.(type) {
+		case *ast.SendStmt:
+			ops[comm] = true
+		case *ast.ExprStmt:
+			ops[unparen(comm.X)] = true
+		case *ast.AssignStmt:
+			ops[unparen(comm.Rhs[0])] = true
+		}
+	}
+	return true
 }
 
 func isChan(t types.Type) bool {

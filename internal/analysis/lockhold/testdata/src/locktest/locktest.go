@@ -36,6 +36,19 @@ func badSelect(s *state) {
 	defer s.mu.Unlock()
 	select { // want `selects on channels while holding s\.mu`
 	case <-s.ch: // want `performs a channel receive while holding s\.mu`
+	case s.ch <- 1: // want `performs a channel send while holding s\.mu`
+	}
+}
+
+// badNonBlockingSelectBody: a default clause makes the select itself
+// non-blocking, but not the work its clauses do.
+func badNonBlockingSelectBody(s *state) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case v := <-s.ch:
+		s.ch <- v // want `performs a channel send while holding s\.mu`
+	case s.ch <- waits(s): // want `calls waits, which may block \(a channel receive\) while holding s\.mu`
 	default:
 	}
 }
@@ -107,6 +120,31 @@ func goodAfterUnlock(s *state) {
 	s.data["k"] = 1
 	s.mu.Unlock()
 	s.ch <- 1
+}
+
+// goodNonBlockingSelect: a select with a default clause never blocks.
+func goodNonBlockingSelect(s *state) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	select {
+	case s.ch <- 1:
+	case <-s.ch:
+	default:
+	}
+}
+
+// signal is a non-blocking send; calling it under a lock is allowed.
+func signal(s *state) {
+	select {
+	case s.ch <- 1:
+	default:
+	}
+}
+
+func goodSignal(s *state) {
+	s.mu.Lock()
+	signal(s)
+	s.mu.Unlock()
 }
 
 // goodPureNet: parse-only net functions cannot block.
