@@ -38,8 +38,8 @@ import (
 	"net/netip"
 	"os"
 	"os/signal"
-	"strings"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 

@@ -14,8 +14,9 @@ import (
 // cache-line alignment the blocked layout depends on, and put GC
 // pressure on the churn path. An arena instead carves vectors out of
 // shared slabs — each span is 512-bit aligned and sized for one vector's
-// words plus its clear-block epoch stamps — and recycles released spans
-// through a free list, so steady-state tenant churn allocates nothing.
+// words plus its clear-block epoch stamps and dirty-block bits — and
+// recycles released spans through a free list, so steady-state tenant
+// churn allocates nothing.
 //
 // All vectors from one arena share a single size (the nbits fixed at
 // construction); that is exactly the multi-tenant shape, where every
@@ -25,12 +26,13 @@ import (
 type Arena struct {
 	mu    sync.Mutex
 	nbits uint // per-vector capacity (power of two, as in New)
-	// spanWords is the carve unit: word storage plus epoch stamps,
-	// rounded up to a multiple of alignWords so every span stays
-	// 64-byte aligned within its slab.
+	// spanWords is the carve unit: word storage, epoch stamps and
+	// dirty-block bits, rounded up to a multiple of alignWords so every
+	// span stays 64-byte aligned within its slab.
 	spanWords    int
 	nwords       int
 	nblocks      int
+	ndirty       int
 	spansPerSlab int
 	free         [][]uint64 //p2p:confined arena // released spans awaiting reuse
 	cur          []uint64   //p2p:confined arena // aligned tail of the newest slab
@@ -53,7 +55,8 @@ func NewArena(nbits uint, vectorsPerSlab int) *Arena {
 	nbits = ceilPow2(nbits)
 	nwords := int((nbits + wordBits - 1) / wordBits)
 	nblocks := (nwords + clearBlockWords - 1) / clearBlockWords
-	span := nwords + nblocks
+	ndirty := dirtyWords(nwords)
+	span := nwords + nblocks + ndirty
 	if r := span % alignWords; r != 0 {
 		span += alignWords - r
 	}
@@ -65,6 +68,7 @@ func NewArena(nbits uint, vectorsPerSlab int) *Arena {
 		spanWords:    span,
 		nwords:       nwords,
 		nblocks:      nblocks,
+		ndirty:       ndirty,
 		spansPerSlab: vectorsPerSlab,
 	}
 }
@@ -89,18 +93,21 @@ func (a *Arena) NewVector(nbits uint) *Vector {
 	a.mu.Unlock()
 	words := span[:a.nwords:a.nwords]
 	stamps := span[a.nwords : a.nwords+a.nblocks : a.nwords+a.nblocks]
+	dirty := span[a.nwords+a.nblocks : a.nwords+a.nblocks+a.ndirty : a.nwords+a.nblocks+a.ndirty]
 	// A recycled span carries a retired tenant's bits. Rather than memclr
 	// the whole span, reuse the lazy-clear machinery: zero only the epoch
 	// stamps and start the vector at epoch 1, so every block reads stale
 	// (logically zero) and is physically freshened on first touch or by
 	// the deferred sweep — the same discipline Rotate relies on.
 	clear(stamps)
+	clear(dirty)
 	return &Vector{
 		words:      words,
 		blockEpoch: stamps,
 		epoch:      1,
 		nbits:      a.nbits,
 		mask:       uint32(a.nbits - 1),
+		dirty:      dirty,
 		span:       span,
 	}
 }
@@ -150,6 +157,7 @@ func (a *Arena) Release(v *Vector) error {
 	v.span = nil
 	v.words = nil
 	v.blockEpoch = nil
+	v.dirty = nil
 	a.mu.Lock()
 	a.free = append(a.free, span)
 	a.live--

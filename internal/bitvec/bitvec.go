@@ -16,6 +16,10 @@
 //     operations — a cleared-up-to watermark. Blocks below the watermark
 //     have been zeroed into the new epoch; blocks above it are treated
 //     as zero until swept or written.
+//   - A mark that flips a bit also sets its 512-bit delta block's dirty
+//     bit, so Sync can refresh a word image of the vector (an offload
+//     map section) by visiting only the blocks marked since its last
+//     sync.
 //
 // This bounds the per-packet latency contribution of the Δt rotation
 // (Algorithm 1) to one block (clearBlockBytes bytes of memclr) instead of
@@ -55,6 +59,15 @@ type Vector struct {
 	mask       uint32 // nbits − 1; nbits is always a power of two
 	ones       int    // logical popcount, maintained incrementally
 	sweep      int    // clear watermark: blocks below are freshened
+	// dirty holds one bit per delta block (DeltaBlockWords words), set
+	// when Set, SetAligned or MergeBlock adds a bit to the block and
+	// cleared by Sync, so a sync visits only the blocks marked since the
+	// last one.
+	dirty []uint64
+	// syncs counts the Syncs that consumed dirty and the wholesale
+	// writes (ReadFrom, CopyFrom) that bypassed it. A SyncMark taken at
+	// another count cannot trust the dirty bits.
+	syncs uint64
 	// span is the backing slab slice when the vector was carved from an
 	// Arena (words and blockEpoch alias into it); nil for vectors built
 	// by New. Arena.Release uses it to recycle the storage.
@@ -77,7 +90,15 @@ func New(nbits uint) *Vector {
 		nbits:      nbits,
 		mask:       uint32(nbits - 1),
 		sweep:      nblocks,
+		dirty:      make([]uint64, dirtyWords(nwords)),
 	}
+}
+
+// dirtyWords returns the number of words holding one dirty bit per
+// delta block of an nwords-word vector.
+func dirtyWords(nwords int) int {
+	nblk := (nwords + DeltaBlockWords - 1) / DeltaBlockWords
+	return (nblk + wordBits - 1) / wordBits
 }
 
 // ceilPow2 rounds n up to the next power of two.
@@ -112,7 +133,17 @@ func (v *Vector) Set(i uint32) {
 	if v.words[w]&bit == 0 {
 		v.words[w] |= bit
 		v.ones++
+		v.markDirty(w)
 	}
+}
+
+// markDirty records that word w's delta block gained a bit since the
+// last Sync.
+//
+//p2p:hotpath
+func (v *Vector) markDirty(w uint) {
+	blk := w / DeltaBlockWords
+	v.dirty[blk/wordBits] |= 1 << (blk % wordBits)
 }
 
 // SetAligned marks every bit in idx, which the caller guarantees all
@@ -121,7 +152,8 @@ func (v *Vector) Set(i uint32) {
 // never straddles a clear block — both are power-of-two sized and
 // aligned — the stale-epoch check and any deferred-clear freshening are
 // paid once for the whole group instead of once per bit, and the ones
-// counter stays exact.
+// counter stays exact. The line is one delta block, so it is marked
+// dirty at most once.
 //
 //p2p:hotpath
 func (v *Vector) SetAligned(idx []uint32) {
@@ -132,14 +164,19 @@ func (v *Vector) SetAligned(idx []uint32) {
 	if blk := int(j0 / clearBlockWords); v.blockEpoch[blk] != v.epoch {
 		v.freshen(blk)
 	}
+	added := 0
 	for _, i := range idx {
 		j := uint(i & v.mask)
 		w := j / wordBits
 		bit := uint64(1) << (j % wordBits)
 		if v.words[w]&bit == 0 {
 			v.words[w] |= bit
-			v.ones++
+			added++
 		}
+	}
+	if added != 0 {
+		v.ones += added
+		v.markDirty(j0)
 	}
 }
 
@@ -273,6 +310,7 @@ func (v *Vector) CopyFrom(src *Vector) error {
 	}
 	v.sweep = len(v.blockEpoch)
 	v.ones = src.ones
+	v.syncs++
 	return nil
 }
 

@@ -145,35 +145,11 @@ func (v *Vector) MergeBlock(blk uint32, words *[DeltaBlockWords]uint64) (int, er
 		added += bits.OnesCount64(w ^ v.words[i])
 		v.words[i] = w
 	}
-	v.ones += added
+	if added != 0 {
+		v.ones += added
+		v.markDirty(uint(lo))
+	}
 	return added, nil
-}
-
-// XorBlock XORs one delta block into the vector, returning the change
-// in the number of set bits (which may be negative — XOR both sets and
-// clears). It is the shadow-maintenance primitive of the offload
-// publisher: applying the XOR DiffBlocks emitted against a shadow
-// brings the shadow to the live vector's logical contents, so the next
-// diff is relative to what was actually published. Patches CheckBlock
-// rejects are refused before any mutation.
-func (v *Vector) XorBlock(blk uint32, words *[DeltaBlockWords]uint64) (int, error) {
-	if err := v.CheckBlock(blk, words); err != nil {
-		return 0, err
-	}
-	lo, hi := v.blockSpan(int(blk))
-	// Same single-freshen invariant as MergeBlock: one delta block never
-	// straddles a clear block.
-	if cb := lo / clearBlockWords; v.blockEpoch[cb] != v.epoch {
-		v.freshen(cb)
-	}
-	delta := 0
-	for i := lo; i < hi; i++ {
-		w := v.words[i] ^ words[i-lo]
-		delta += bits.OnesCount64(w) - bits.OnesCount64(v.words[i])
-		v.words[i] = w
-	}
-	v.ones += delta
-	return delta, nil
 }
 
 // BlockWords copies the logical contents of one delta block into dst,

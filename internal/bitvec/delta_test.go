@@ -171,7 +171,7 @@ func TestRangeDigestsReflectLogicalContents(t *testing.T) {
 	// A deferred clear must change every digest to the all-zero ones,
 	// even though the physical words still hold the old contents.
 	b.Clear()
-	zero := New(1 << 13).AppendRangeDigests(4, nil)
+	zero := New(1<<13).AppendRangeDigests(4, nil)
 	db = b.AppendRangeDigests(4, nil)
 	for i := range db {
 		if db[i] != zero[i] {

@@ -10,20 +10,30 @@ import (
 	"p2pbound/internal/errfmt"
 )
 
+// ioChunkWords is the number of words WriteTo and ReadFrom stream
+// through one buffer: 512 bytes, so a save or a tenant spill allocates
+// one small chunk per vector instead of a copy of the vector.
+const ioChunkWords = 64
+
 // WriteTo serializes the vector's words in little-endian order. It
 // implements io.WriterTo. Any deferred clear is completed first so the
 // stream carries the logical contents.
 func (v *Vector) WriteTo(w io.Writer) (int64, error) {
 	v.normalize()
-	buf := make([]byte, 8*len(v.words))
-	for i, word := range v.words {
-		binary.LittleEndian.PutUint64(buf[i*8:], word)
+	var buf [8 * ioChunkWords]byte
+	var total int64
+	for lo := 0; lo < len(v.words); lo += ioChunkWords {
+		chunk := v.words[lo:min(lo+ioChunkWords, len(v.words))]
+		for i, word := range chunk {
+			binary.LittleEndian.PutUint64(buf[i*8:], word)
+		}
+		n, err := w.Write(buf[:8*len(chunk)])
+		total += int64(n)
+		if err != nil {
+			return total, errfmt.Wrap("bitvec: write", err)
+		}
 	}
-	n, err := w.Write(buf)
-	if err != nil {
-		return int64(n), errfmt.Wrap("bitvec: write", err)
-	}
-	return int64(n), nil
+	return total, nil
 }
 
 // WriteFrame serializes the vector as a length-framed record: a
@@ -63,16 +73,26 @@ func (v *Vector) ReadFrame(r io.Reader) (int64, error) {
 
 // ReadFrom overwrites the vector's contents from a stream produced by
 // WriteTo on a vector of the same size. It implements io.ReaderFrom.
+// The words are decoded in place, one bounded chunk at a time, so a
+// stream that fails part-way leaves the vector cleared rather than
+// holding a mix of old and new words; callers discard it (core.ReadFilter
+// reads into a fresh filter).
 func (v *Vector) ReadFrom(r io.Reader) (int64, error) {
-	buf := make([]byte, 8*len(v.words))
-	n, err := io.ReadFull(r, buf)
-	if err != nil {
-		return int64(n), errfmt.Wrap("bitvec: read", err)
-	}
+	var buf [8 * ioChunkWords]byte
+	var total int64
 	ones := 0
-	for i := range v.words {
-		v.words[i] = binary.LittleEndian.Uint64(buf[i*8:])
-		ones += bits.OnesCount64(v.words[i])
+	for lo := 0; lo < len(v.words); lo += ioChunkWords {
+		chunk := v.words[lo:min(lo+ioChunkWords, len(v.words))]
+		n, err := io.ReadFull(r, buf[:8*len(chunk)])
+		total += int64(n)
+		if err != nil {
+			v.Clear()
+			return total, errfmt.Wrap("bitvec: read", err)
+		}
+		for i := range chunk {
+			chunk[i] = binary.LittleEndian.Uint64(buf[i*8:])
+			ones += bits.OnesCount64(chunk[i])
+		}
 	}
 	// The stream carried fully-materialized contents: stamp every block
 	// fresh and rebuild the incremental ones count.
@@ -81,5 +101,6 @@ func (v *Vector) ReadFrom(r io.Reader) (int64, error) {
 	}
 	v.sweep = len(v.blockEpoch)
 	v.ones = ones
-	return int64(n), nil
+	v.syncs++
+	return total, nil
 }

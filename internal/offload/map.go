@@ -15,10 +15,15 @@
 // makes odd before mutating and even after, and a reader retries
 // whenever it observes an odd or changed generation — so a probe never
 // sees a torn rotation (a current-index bump paired with a half-cleared
-// vector). Steady-state publication is incremental: the publisher diffs
-// each live vector against a shadow of what it last published
-// (bitvec.DiffBlocks) and rewrites only the dirty 512-bit blocks, so
-// export cost is proportional to bits touched, not filter size.
+// vector). Steady-state publication is incremental: each vector keeps a
+// dirty bit per 512-bit block, set when a mark adds a bit, and a
+// publish compares and rewrites only the blocks marked since that
+// section's last publish (bitvec.Vector.Sync), so export cost follows
+// the blocks that changed, not the filter size. A vector the section
+// cannot vouch for — its first publish, the vector a rotation cleared,
+// a filter swapped in by a restore or a tenant rehydration, a vector
+// another map synced since — is compared in full against the section's
+// own words instead.
 //
 // Escalation contract: the fast path never drops. A probe either Hits
 // (every relevant bit set — pass with no slow-path involvement) or
@@ -106,8 +111,8 @@ var (
 	// the image was taken mid-publish and may mix two rotations.
 	ErrMapTorn = errors.New("offload: torn map generation")
 	// ErrMapReadOnly rejects Publish on a map reconstructed by
-	// OpenBytes: its shadow state does not cover the imported contents,
-	// so an incremental publish could leave stale blocks behind.
+	// OpenBytes: the image is a consumer's copy of another publisher's
+	// map, whose readers would never see a write into the copy.
 	ErrMapReadOnly = errors.New("offload: map is read-only")
 )
 
@@ -223,8 +228,8 @@ type Map struct {
 	secWords    int
 	prefixBits  int
 	secs        []Section
-	// opened marks a map reconstructed by OpenBytes: probe-only, since
-	// no shadow state covers the imported bits (see ErrMapReadOnly).
+	// opened marks a map reconstructed by OpenBytes: probe-only (see
+	// ErrMapReadOnly).
 	opened bool
 }
 
@@ -323,20 +328,28 @@ func (m *Map) SectionKey(i int) (key uint32, idHash uint64) {
 type Section struct {
 	m    *Map
 	base int
-	// shadow holds the logical contents this section last published,
-	// one vector per filter vector; DiffBlocks against it makes steady-
-	// state publication proportional to bits touched. Allocated on the
-	// first Publish so consumer-side sections stay lightweight.
-	shadow  []*bitvec.Vector
-	scratch [bitvec.DeltaBlockWords]uint64
+	// marks[i] records which vector, clear epoch and sync count the
+	// words of vector i were last synced from (bitvec.SyncMark).
+	// Allocated on the first Publish so consumer-side sections stay
+	// lightweight.
+	marks []bitvec.SyncMark
 }
 
 // Publish exports f's current state — rotation count, current vector
-// index, and every dirty 512-bit block of its k vectors — under the
+// index, and the logical contents of its k vectors — under the
 // section's seqlock. The filter must match the map geometry. Publish
 // runs on the filter's owning goroutine between packet batches; it
-// holds no locks (readers are never blocked, they retry), and its cost
-// is proportional to the bits marked or cleared since the last publish.
+// holds no locks (readers are never blocked, they retry), and it stores
+// only the words that changed.
+//
+// Each vector is synced with bitvec.Vector.Sync: when the vector is the
+// one this section last synced, in the same clear epoch and with no
+// sync by another section or wholesale rewrite since, only the 512-bit
+// delta blocks marked since the last publish are compared, so the cost
+// follows the blocks that changed, not the filter size. Otherwise —
+// the first publish, the vector a rotation cleared, a filter swapped in
+// by a restore or a tenant rehydration, or a vector another map synced
+// — the vector's words are compared in full against the section's.
 func (s *Section) Publish(f *core.Filter) error {
 	m := s.m
 	if m.opened {
@@ -345,11 +358,8 @@ func (s *Section) Publish(f *core.Filter) error {
 	if g := GeometryOf(f.Config()); g != m.geom {
 		return errfmt.Detail("offload: publish filter geometry != map geometry", ErrMapGeometry)
 	}
-	if s.shadow == nil {
-		s.shadow = make([]*bitvec.Vector, m.geom.K)
-		for i := range s.shadow {
-			s.shadow[i] = bitvec.New(1 << m.geom.NBits)
-		}
+	if s.marks == nil {
+		s.marks = make([]bitvec.SyncMark, m.geom.K)
 	}
 	w := m.words
 	gen := atomic.LoadUint64(&w[s.base+secGen])
@@ -358,30 +368,9 @@ func (s *Section) Publish(f *core.Filter) error {
 	atomic.StoreUint64(&w[s.base+secCurIdx], uint64(f.Index()))
 	atomic.StoreUint64(&w[s.base+secFlags], flagLive)
 	var firstErr error
-	for i := 0; i < m.geom.K; i++ {
-		vecBase := s.base + sectionHeaderWords + i*m.wordsPerVec
-		sh := s.shadow[i]
-		err := f.Vector(i).DiffBlocks(sh, func(blk uint32, xor *[bitvec.DeltaBlockWords]uint64) {
-			if firstErr != nil {
-				return
-			}
-			if err := sh.BlockWords(blk, &s.scratch); err != nil {
-				firstErr = err
-				return
-			}
-			lo := int(blk) * bitvec.DeltaBlockWords
-			n := m.wordsPerVec - lo
-			if n > bitvec.DeltaBlockWords {
-				n = bitvec.DeltaBlockWords
-			}
-			for j := 0; j < n; j++ {
-				atomic.StoreUint64(&w[vecBase+lo+j], s.scratch[j]^xor[j])
-			}
-			if _, err := sh.XorBlock(blk, xor); err != nil {
-				firstErr = err
-			}
-		})
-		if firstErr == nil {
+	for i := range s.marks {
+		lo := s.base + sectionHeaderWords + i*m.wordsPerVec
+		if err := f.Vector(i).Sync(w[lo:lo+m.wordsPerVec], &s.marks[i]); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

@@ -112,8 +112,8 @@ func TestPublishProbeParity(t *testing.T) {
 			checkParity(t, f, fp, pairs)
 
 			// Incremental republish after more marks and a rotation: the
-			// diff-based publish must converge to the filter's new state,
-			// including the bits rotation cleared.
+			// publish must converge to the filter's new state, including
+			// the bits rotation cleared.
 			f.Rotate()
 			for i := 1; i < len(pairs); i += 4 {
 				f.Mark(pairs[i])
@@ -233,11 +233,11 @@ func TestSectionRouting(t *testing.T) {
 		pair packet.SocketPair
 		want int
 	}{
-		{mk(10<<24|5, 99<<24), 0},       // src prefix registered
-		{mk(99<<24, 20<<24|7), 1},       // dst prefix fallback
-		{mk(30<<24, 10<<24), 2},         // src wins over dst
-		{mk(99<<24, 98<<24), -1},        // neither registered
-		{mk(21<<24, 19<<24), -1},        // between keys
+		{mk(10<<24|5, 99<<24), 0}, // src prefix registered
+		{mk(99<<24, 20<<24|7), 1}, // dst prefix fallback
+		{mk(30<<24, 10<<24), 2},   // src wins over dst
+		{mk(99<<24, 98<<24), -1},  // neither registered
+		{mk(21<<24, 19<<24), -1},  // between keys
 	}
 	for i, tc := range cases {
 		if got := fp.SectionFor(tc.pair); got != tc.want {
@@ -356,7 +356,7 @@ func TestOpenBytesRejects(t *testing.T) {
 		{"prefix lie", put(img, hdrPrefix, 40), ErrMapGeometry},
 		{"reserved dirty", put(img, hdrPrefix+1, 1), ErrMapCorrupt},
 		{"unsorted keys", put(img, headerWords+dirEntryWords, 1), ErrMapCorrupt},
-		{"key overflow", put(img, headerWords, 1 << 40), ErrMapCorrupt},
+		{"key overflow", put(img, headerWords, 1<<40), ErrMapCorrupt},
 		{"bad offset", put(img, headerWords+2, 9999), ErrMapCorrupt},
 		{"torn generation", put(img, secBase(0)+secGen, 3), ErrMapTorn},
 		{"curidx out of range", put(img, secBase(0)+secCurIdx, 2), ErrMapCorrupt},

@@ -35,9 +35,12 @@ func (l *Limiter) NewOffloadMap() (*offload.Map, error) {
 
 // PublishOffload exports the limiter's current filter state into
 // section 0 of an offload map created by NewOffloadMap. Call it from
-// the processing goroutine between batches — publication is
-// incremental (cost ∝ bits marked or cleared since the last publish)
-// and never blocks concurrent FastPath readers.
+// the processing goroutine between batches; it never blocks concurrent
+// FastPath readers. Publication is incremental: it rewrites only the
+// 512-bit blocks marked since the last publish into this map. A vector
+// a rotation cleared, a filter swapped in by RestoreState or AdoptState,
+// and a vector last published into another map are compared in full
+// instead (see offload.Section.Publish).
 //
 //p2p:confined limproc entry
 func (l *Limiter) PublishOffload(m *offload.Map) error {

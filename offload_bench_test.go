@@ -15,6 +15,7 @@
 package p2pbound
 
 import (
+	"net/netip"
 	"testing"
 	"time"
 
@@ -163,5 +164,71 @@ func BenchmarkOffloadProbe(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := &pkts[i%len(pkts)]
 		fp.Probe(p.pair, p.dir)
+	}
+}
+
+// publishBenchFlows is the number of fresh flows BenchmarkOffloadPublish
+// marks between two publishes: about one offload-workload publish
+// interval's worth of new flows.
+const publishBenchFlows = 128
+
+// BenchmarkOffloadPublish times Limiter.PublishOffload, the offload rung
+// of the layer ladder. Between publishes it marks publishBenchFlows
+// fresh outbound flows, untimed, so each timed publish exports exactly
+// their marks. It runs at the paper's geometry (4×2^20 bits, classic)
+// and at isp-large's (4×2^26 bits, blocked), where a publish that
+// scanned whole vectors would read 32 MiB of filter per call. No
+// rotation falls inside a run, so every timed publish is a steady-state
+// one.
+func BenchmarkOffloadPublish(b *testing.B) {
+	for _, g := range []struct {
+		name   string
+		bits   uint
+		layout Layout
+	}{
+		{"bits=20-classic", 20, LayoutClassic},
+		{"bits=26-blocked", 26, LayoutBlocked},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			lim, err := New(Config{
+				ClientNetwork: "140.112.0.0/16",
+				VectorBits:    g.bits,
+				Layout:        g.layout,
+				RotateEvery:   time.Hour,
+				Seed:          11,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			om, err := lim.NewOffloadMap()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := lim.PublishOffload(om); err != nil {
+				b.Fatal(err)
+			}
+			var flow uint32
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for j := 0; j < publishBenchFlows; j++ {
+					u := flow * 0x9e3779b1
+					lim.Process(Packet{
+						Protocol: TCP,
+						SrcAddr:  netip.AddrFrom4([4]byte{140, 112, byte(u >> 24), byte(u >> 16)}),
+						SrcPort:  uint16(u) | 1024,
+						DstAddr:  netip.AddrFrom4([4]byte{88, byte(flow >> 16), byte(flow >> 8), byte(flow)}),
+						DstPort:  443,
+						Size:     512,
+					})
+					flow++
+				}
+				b.StartTimer()
+				if err := lim.PublishOffload(om); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

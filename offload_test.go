@@ -1,10 +1,15 @@
 package p2pbound
 
 import (
+	"bytes"
+	"encoding/binary"
 	"net/netip"
+	"strconv"
 	"testing"
 	"time"
 
+	"p2pbound/internal/bitvec"
+	"p2pbound/internal/core"
 	"p2pbound/internal/offload"
 	"p2pbound/internal/packet"
 )
@@ -362,4 +367,139 @@ func TestPipelineOffloadMap(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("no tracked flow hit in the pipeline's offload map")
 	}
+}
+
+// requireSectionExact fails unless section sec of a serialized flat map
+// holds f's logical contents word for word. It reads the image through
+// the documented layout (DESIGN.md §17.1): the header's words-per-vector
+// field, the directory entry's section offset, and the four-word section
+// header before the vectors.
+func requireSectionExact(t *testing.T, img []byte, sec int, f *core.Filter, what string) {
+	t.Helper()
+	word := func(i int) uint64 { return binary.LittleEndian.Uint64(img[8*i:]) }
+	const headerWords, dirEntryWords, sectionHeaderWords = 8, 3, 4
+	wpv := int(word(3))
+	base := int(word(headerWords+sec*dirEntryWords+2)) + sectionHeaderWords
+	var want [bitvec.DeltaBlockWords]uint64
+	for v := 0; v < f.VectorCount(); v++ {
+		vec := f.Vector(v)
+		for b := 0; b < vec.DeltaBlocks(); b++ {
+			if err := vec.BlockWords(uint32(b), &want); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < bitvec.DeltaBlockWords && b*bitvec.DeltaBlockWords+j < wpv; j++ {
+				i := v*wpv + b*bitvec.DeltaBlockWords + j
+				if got := word(base + i); got != want[j] {
+					t.Fatalf("%s: section %d vector %d word %d: map %#x, filter %#x",
+						what, sec, v, i-v*wpv, got, want[j])
+				}
+			}
+		}
+	}
+}
+
+func mapImage(t *testing.T, om *offload.Map) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := om.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestOffloadPublishExactFrontEnds publishes through the two front ends
+// that swap whole filters under a live map — Limiter.RestoreState and
+// a TenantManager rehydrating tenants onto recycled arena vectors — and
+// requires every live section to equal its filter after every publish.
+// internal/offload's TestPublishExact covers the same events, and the
+// rest, on bare filters.
+func TestOffloadPublishExactFrontEnds(t *testing.T) {
+	pkts := offTraffic(6000, 2*time.Millisecond) // 12 s of 1 s rotations
+
+	t.Run("limiter-restore", func(t *testing.T) {
+		lim, err := New(offConfig(time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		om, err := lim.NewOffloadMap()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		for i := range pkts {
+			lim.Process(pkts[i].pub)
+			switch i {
+			case 1500:
+				if err := lim.SaveState(&snap); err != nil {
+					t.Fatal(err)
+				}
+			case 3000, 4500:
+				// Rewind to the older snapshot: a different filter, with
+				// different contents, behind the same map section.
+				if err := lim.RestoreState(bytes.NewReader(snap.Bytes())); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if i%37 == 0 || i == 3000 || i == 4500 {
+				if err := lim.PublishOffload(om); err != nil {
+					t.Fatal(err)
+				}
+				requireSectionExact(t, mapImage(t, om), 0, lim.filter.Load(), "packet "+strconv.Itoa(i))
+			}
+		}
+	})
+
+	t.Run("tenant-rehydrate", func(t *testing.T) {
+		mgr, err := NewTenantManager(TenantManagerConfig{
+			Tenant: Config{
+				ClientNetwork: "0.0.0.0/0",
+				Vectors:       4, VectorBits: 12, HashFunctions: 3,
+				RotateEvery: time.Second,
+			},
+			PrefixBits: 24,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tcs := make([]TenantConfig, 256)
+		for i := range tcs {
+			tcs[i] = TenantConfig{ID: "sub" + strconv.Itoa(i), Network: "140.112." + strconv.Itoa(i) + ".0/24"}
+		}
+		if err := mgr.AddTenants(tcs); err != nil {
+			t.Fatal(err)
+		}
+		to, err := mgr.NewOffload()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rehydrated := 0
+		for i := range pkts {
+			mgr.Process(pkts[i].pub)
+			if i%800 == 799 {
+				// Every span goes back to the arena; the next packets
+				// rehydrate their tenants onto recycled spans, in traffic
+				// order rather than the order they were released.
+				rehydrated += mgr.EvictIdle(0)
+			}
+			if i%41 != 0 {
+				continue
+			}
+			if err := to.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			img := mapImage(t, to.Map())
+			for sec, tn := range to.byTenant {
+				live := to.Map().Section(sec).Live()
+				if live != tn.hydrated {
+					t.Fatalf("packet %d: tenant %s hydrated=%v, section live=%v", i, tn.id, tn.hydrated, live)
+				}
+				if tn.hydrated {
+					requireSectionExact(t, img, sec, tn.lim.filter.Load(), "packet "+strconv.Itoa(i))
+				}
+			}
+		}
+		if rehydrated == 0 {
+			t.Fatal("no tenant was evicted; the rehydrate path went untested")
+		}
+	})
 }

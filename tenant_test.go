@@ -105,11 +105,11 @@ func TestTenantManagerValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []TenantConfig{
-		{ID: "b", Network: "10.1.0.0/16"},    // wrong prefix width
-		{ID: "c", Network: "not-a-network"},  // unparsable
-		{ID: "a", Network: "10.0.1.0/24"},    // duplicate id
-		{ID: "d", Network: "10.0.0.0/24"},    // overlapping network
-		{ID: "e", Network: "2001:db8::/24"},  // not IPv4
+		{ID: "b", Network: "10.1.0.0/16"},   // wrong prefix width
+		{ID: "c", Network: "not-a-network"}, // unparsable
+		{ID: "a", Network: "10.0.1.0/24"},   // duplicate id
+		{ID: "d", Network: "10.0.0.0/24"},   // overlapping network
+		{ID: "e", Network: "2001:db8::/24"}, // not IPv4
 	} {
 		if err := m.AddTenant(tc); err == nil {
 			t.Errorf("tenant %+v: expected error, got nil", tc)
@@ -291,7 +291,7 @@ func TestTenantSnapshotRoundTrip(t *testing.T) {
 	build := func() *TenantManager { return newTestManager(t, 3, nil) }
 
 	a := build()
-	a.Process(tenantOutbound(0, 1, 0))              // t0: hydrated with marks
+	a.Process(tenantOutbound(0, 1, 0))                // t0: hydrated with marks
 	a.Process(tenantOutbound(1, 1, time.Millisecond)) // t1: marked, then evicted
 	a.EvictIdle(0)
 	// t2 never hydrated.
