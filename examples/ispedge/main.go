@@ -116,7 +116,7 @@ func main() {
 	spilled := mgr.Stats()
 	fmt.Printf("hydrated while active: %d tenants, %d KiB of pooled vectors\n",
 		resident.Hydrated, resident.ArenaBytes/1024)
-	fmt.Printf("after idling out:      %d evicted, %d KiB spilled snapshots, vectors recycled for the next active set\n",
+	fmt.Printf("after idling out:      %d evicted, %d KiB of spilled words, vectors recycled for the next active set\n",
 		evicted, spilled.SpillBytes/1024)
 }
 

@@ -314,6 +314,55 @@ func (v *Vector) CopyFrom(src *Vector) error {
 	return nil
 }
 
+// CopyWords copies the vector's logical words into dst, which must hold
+// exactly as many words as the vector. A block whose deferred clear has
+// not been swept reads as zero without being materialized. It is the
+// spill half of a tenant eviction; LoadWords is its inverse.
+func (v *Vector) CopyWords(dst []uint64) {
+	if len(dst) != len(v.words) {
+		panic("bitvec: CopyWords into " + strconv.Itoa(len(dst)) + " words, vector has " + strconv.Itoa(len(v.words)))
+	}
+	for lo := 0; lo < len(v.words); lo += clearBlockWords {
+		hi := min(lo+clearBlockWords, len(v.words))
+		if v.blockEpoch[lo/clearBlockWords] == v.epoch {
+			copy(dst[lo:hi], v.words[lo:hi])
+		} else {
+			clear(dst[lo:hi])
+		}
+	}
+}
+
+// LoadWords overwrites the vector with words that CopyWords took from a
+// vector of the same size. Like ReadFrom it rewrites the vector
+// wholesale, past the dirty bits, so it bumps the sync count: the next
+// Sync of any image compares every word.
+func (v *Vector) LoadWords(src []uint64) {
+	if len(src) != len(v.words) {
+		panic("bitvec: LoadWords from " + strconv.Itoa(len(src)) + " words, vector has " + strconv.Itoa(len(v.words)))
+	}
+	ones := 0
+	for i, w := range src {
+		v.words[i] = w
+		ones += bits.OnesCount64(w)
+	}
+	for i := range v.blockEpoch {
+		v.blockEpoch[i] = v.epoch
+	}
+	v.sweep = len(v.blockEpoch)
+	v.ones = ones
+	v.syncs++
+}
+
+// Header loads the fields a Set or Get reads before its bit line and
+// returns a value derived from them. A batch kernel calls it for many
+// vectors in a row, so that the header misses of different packets
+// overlap; the caller folds the result into a sink so the loads stay.
+//
+//p2p:hotpath
+func (v *Vector) Header() uint64 {
+	return v.epoch + uint64(v.ones) + uint64(len(v.words)) + uint64(len(v.dirty))
+}
+
 // Equal reports whether two vectors have identical size and logical
 // contents.
 func (v *Vector) Equal(o *Vector) bool {

@@ -58,6 +58,59 @@ func (f *Filter) Empty() bool {
 	return true
 }
 
+// Reset readies a filter shell for another suspended state while
+// keeping its vectors: every vector is cleared (in O(1), the clear
+// deferred as after a rotation), the rotation schedule restarts as at
+// construction, the counters return to zero, and the P_d source is
+// reseeded from seed. A tenant manager pools the shells of evicted
+// filters per shard and resets one on each hydration, so hydrating
+// allocates nothing proportional to the filter. The caller must own
+// the filter outright: no reader may still reach it (Limiter.swapFilter
+// retires a filter under the lock its Stats readers take).
+func (f *Filter) Reset(seed uint64) {
+	for _, v := range f.vectors {
+		v.Clear()
+	}
+	f.started, f.idx, f.sweepVec, f.next, f.lastTS, f.hashed = false, 0, -1, 0, 0, 0
+	f.pend.outbound, f.pend.inbound, f.pend.hits, f.pend.misses, f.pend.dropped = 0, 0, 0, 0, 0
+	f.stats.outbound.Store(0)
+	f.stats.inbound.Store(0)
+	f.stats.hits.Store(0)
+	f.stats.misses.Store(0)
+	f.stats.dropped.Store(0)
+	f.stats.rotations.Store(0)
+	f.stats.timeAnomalies.Store(0)
+	f.cfg.Seed = seed
+	f.pcg.Seed(seed, seed^pcgStream)
+}
+
+// Words returns the number of 64-bit words SpillWords copies: the bits
+// of all k vectors.
+func (f *Filter) Words() int { return f.Bytes() / 8 }
+
+// SpillWords copies the logical words of all k vectors, vector after
+// vector, into dst, which must hold Words() words. Blocks whose
+// deferred clear has not been swept read as zero. With RotationState
+// and RNGState it is the whole suspended form of a filter: LoadWords
+// restores it, and AppendSnapshot renders it as a snapshot.
+func (f *Filter) SpillWords(dst []uint64) {
+	n := len(dst) / len(f.vectors)
+	for i, v := range f.vectors {
+		v.CopyWords(dst[i*n : (i+1)*n])
+	}
+}
+
+// LoadWords overwrites all k vectors with words SpillWords copied from
+// a filter of the same geometry. Each vector's sync count moves on, so
+// an offload image synced from this filter compares every word next
+// time.
+func (f *Filter) LoadWords(src []uint64) {
+	n := len(src) / len(f.vectors)
+	for i, v := range f.vectors {
+		v.LoadWords(src[i*n : (i+1)*n])
+	}
+}
+
 // RotationState is the part of a filter's temporal state that the v2
 // snapshot format does not fully carry but verdict-exact suspend/resume
 // needs: the monotonic clamp high-water mark (LastTS) on top of the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"p2pbound/internal/bitvec"
+	"p2pbound/internal/hashes"
 )
 
 // replayStep drives one seeded traffic step against f and returns the
@@ -116,6 +117,83 @@ func TestSuspendResumeVerdictExact(t *testing.T) {
 	// compare verdict-visible rotation state.
 	if cont.RotationState() != live.RotationState() {
 		t.Fatalf("rotation state diverged: %+v vs %+v", cont.RotationState(), live.RotationState())
+	}
+}
+
+// TestSpillWordsResumeVerdictExact pins the raw-word suspend loop a
+// tenant manager runs: SpillWords + RotationState + RNGState, then
+// Reset of a pooled shell that served another filter, LoadWords and
+// the two setters, continues bit-identically to a filter that never
+// stopped. At every suspension AppendSnapshot renders the spilled
+// words to exactly the bytes WriteTo writes for the live filter, with
+// deferred clears still pending.
+func TestSpillWordsResumeVerdictExact(t *testing.T) {
+	for _, layout := range []hashes.Layout{hashes.LayoutClassic, hashes.LayoutBlocked} {
+		cfg := testConfig()
+		cfg.Layout = layout
+		cfg.Seed = 99
+		cont, err := New(cfg) // never suspended
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := bitvec.NewArena(1<<cfg.NBits, 0)
+		live, err := NewWith(cfg, arena)
+		if err != nil {
+			t.Fatal(err)
+		}
+		other := cfg
+		other.Seed = 7
+		shell, err := NewWith(other, arena) // another tenant's filter
+		if err != nil {
+			t.Fatal(err)
+		}
+		rngA := rand.New(rand.NewPCG(3, 5))
+		rngB := rand.New(rand.NewPCG(3, 5))
+		rngC := rand.New(rand.NewPCG(8, 1))
+		words := make([]uint64, live.Words())
+		var now time.Duration
+		for epoch := 0; epoch < 8; epoch++ {
+			for i := 0; i < 5_000; i++ {
+				now += time.Duration(rngA.IntN(2500)) * time.Microsecond
+				rngB.IntN(2500)
+				va := replayStep(cont, rngA, now)
+				vb := replayStep(live, rngB, now)
+				if va != vb {
+					t.Fatalf("%v epoch %d step %d: verdicts diverged (%v vs %v)", layout, epoch, i, va, vb)
+				}
+				replayStep(shell, rngC, now)
+			}
+			var want bytes.Buffer
+			if _, err := live.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			live.SpillWords(words)
+			rot := live.RotationState()
+			rng, err := live.RNGState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := AppendSnapshot(nil, live.Config(), rot, words); !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("%v epoch %d: AppendSnapshot differs from WriteTo", layout, epoch)
+			}
+			// Swap roles: the suspended filter's shell serves the other
+			// tenant next, and the other's shell resumes this one.
+			live, shell = shell, live
+			live.Reset(cfg.Seed)
+			live.LoadWords(words)
+			if err := live.SetRotationState(rot); err != nil {
+				t.Fatal(err)
+			}
+			if err := live.SetRNGState(rng); err != nil {
+				t.Fatal(err)
+			}
+			if live.Stats() != (Stats{}) {
+				t.Fatalf("reset shell kept counters: %+v", live.Stats())
+			}
+		}
+		if cont.RotationState() != live.RotationState() {
+			t.Fatalf("rotation state diverged: %+v vs %+v", cont.RotationState(), live.RotationState())
+		}
 	}
 }
 

@@ -164,7 +164,7 @@ func TestHashBatchTouchSafeAcrossRotation(t *testing.T) {
 	g.Advance(rot)
 	for i := range pkts {
 		pkts[i].TS = rot
-		fv := f.ProcessHashed(i, &pkts[i], 1)
+		fv := f.ProcessSums(&pkts[i], f.Hashed(i), 1)
 		gv := g.Process(&pkts[i], 1)
 		if fv != gv {
 			t.Fatalf("packet %d: hashed-before-rotation verdict %v, fresh verdict %v", i, fv, gv)

@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"p2pbound/internal/bitvec"
 	"p2pbound/internal/errfmt"
@@ -155,21 +156,18 @@ type Filter struct {
 	cfg     Config
 	vectors []*bitvec.Vector
 	idx     int // index of the current bit vector
-	family  *hashes.Family
-	scheme  hashes.Scheme
-	layout  hashes.Layout
-	rng     *rand.Rand
+	// ix derives each packet's m indexes; see Indexer.
+	ix     Indexer
+	layout hashes.Layout
+	rng    *rand.Rand
 	// pcg is the source behind rng, retained so suspend/resume paths can
 	// marshal the exact draw position (RNGState); rand.Rand itself does
 	// not expose its source.
-	pcg  *rand.PCG
+	pcg *rand.PCG
+	// sums is the per-packet index scratch of Process, Mark and
+	// Contains: m entries.
 	sums []uint32
-	// enc is the reusable socket-pair key encoder; each packet encodes
-	// its key exactly once and the m hash sums derived from it are
-	// shared by the mark fan-out across all k vectors (outbound) or the
-	// current-vector lookup (inbound).
-	enc packet.KeyEncoder
-	// pend accumulates the per-packet counter deltas of processSums as
+	// pend accumulates the per-packet counter deltas of ProcessSums as
 	// plain single-writer increments; FlushStats publishes them into the
 	// atomic counters. Batching the publication turns up to two LOCK-
 	// prefixed read-modify-writes per packet into a handful per chunk.
@@ -182,7 +180,7 @@ type Filter struct {
 	// HashBatch never grows it.
 	bsums []uint32
 	// touch gates pass A's advisory cache-line touches on the filter's
-	// bit footprint (see touchMinBytes): when the vectors fit in the
+	// bit footprint (see TouchWorthwhile): when the vectors fit in the
 	// last-level cache, the touches cannot hide any DRAM latency and are
 	// pure extra loads, so small filters hash ahead without touching.
 	touch bool
@@ -231,9 +229,9 @@ func newFilter(cfg Config, alloc VectorAllocator) (*Filter, error) {
 	// snapshot round-trips and geometry comparisons — never see the
 	// ambiguous zero defaults.
 	cfg.HashScheme, cfg.Layout = scheme, layout
-	family, err := hashes.NewFamily(kind, cfg.M, cfg.NBits)
+	ix, err := newIndexer(kind, cfg.M, cfg.NBits, scheme, layout, cfg.HolePunch)
 	if err != nil {
-		return nil, errfmt.Wrap("core", err)
+		return nil, err
 	}
 	vectors := make([]*bitvec.Vector, cfg.K)
 	for i := range vectors {
@@ -243,22 +241,31 @@ func newFilter(cfg Config, alloc VectorAllocator) (*Filter, error) {
 			vectors[i] = bitvec.New(1 << cfg.NBits)
 		}
 	}
-	pcg := rand.NewPCG(cfg.Seed, cfg.Seed^0x9e3779b97f4a7c15)
+	pcg := rand.NewPCG(cfg.Seed, cfg.Seed^pcgStream)
 	return &Filter{
 		cfg:      cfg,
 		vectors:  vectors,
-		family:   family,
-		scheme:   scheme,
+		ix:       ix,
 		layout:   layout,
 		pcg:      pcg,
 		rng:      rand.New(pcg),
-		sums:     make([]uint32, 0, cfg.M),
-		enc:      packet.NewKeyEncoder(cfg.HolePunch),
+		sums:     make([]uint32, cfg.M),
 		bsums:    make([]uint32, BatchChunk*cfg.M),
-		touch:    int64(cfg.K)<<cfg.NBits>>3 > touchMinBytes,
+		touch:    TouchWorthwhile(int64(cfg.K) << cfg.NBits >> 3),
 		sweepVec: -1,
 	}, nil
 }
+
+// pcgStream is the second PCG seed word, derived from the first so a
+// single Config.Seed selects the whole P_d draw stream.
+const pcgStream = 0x9e3779b97f4a7c15
+
+// TouchWorthwhile reports whether bit storage of footprint bytes is
+// large enough for pass A's advisory line touches to pay: above
+// touchMinBytes. A filter gates on its own vectors; a tenant manager,
+// whose subscribers' filters share one arena per shard, gates on the
+// arena.
+func TouchWorthwhile(footprint int64) bool { return footprint > touchMinBytes }
 
 // touchMinBytes is the bit-vector footprint above which pass A of the
 // two-pass batch path issues its advisory line touches. Below it the
@@ -273,7 +280,7 @@ const touchMinBytes = 16 << 20
 func (f *Filter) Config() Config { return f.cfg }
 
 // HashScheme returns the resolved index-derivation scheme (never zero).
-func (f *Filter) HashScheme() hashes.Scheme { return f.scheme }
+func (f *Filter) HashScheme() hashes.Scheme { return f.cfg.HashScheme }
 
 // Layout returns the resolved bit layout (never zero).
 func (f *Filter) Layout() hashes.Layout { return f.layout }
@@ -493,41 +500,29 @@ func (f *Filter) stepSweep() {
 //
 //p2p:hotpath
 func (f *Filter) Process(pkt *packet.Packet, pd float64) Verdict {
-	if pkt.Dir == packet.Outbound {
-		f.sums = f.appendSums(f.sums[:0], f.enc.Outbound(pkt.Pair))
-	} else {
-		f.sums = f.appendSums(f.sums[:0], f.enc.Inbound(pkt.Pair))
-	}
-	v := f.processSums(pkt, f.sums, pd)
+	v := f.ProcessSums(pkt, f.Sums(pkt), pd)
 	f.FlushStats()
 	return v
 }
 
-// appendSums derives the m filter indexes of key per the configured
-// scheme and layout, appending them to dst. This is the single point
-// where a key's bytes become bit positions — Process, Mark, Contains,
-// and the batch pass A all route through it, so every path provably
-// derives identical indexes for identical keys.
+// Sums derives pkt's m indexes into the filter's per-packet scratch and
+// returns it; the slice is valid until the next Sums, Process, Mark or
+// Contains call.
 //
 //p2p:hotpath
-func (f *Filter) appendSums(dst []uint32, key []byte) []uint32 {
-	switch {
-	case f.layout == hashes.LayoutBlocked:
-		return f.family.AppendBlocked(dst, f.family.Sum64(key))
-	case f.scheme == hashes.SchemeOneShot:
-		return f.family.AppendDerived(dst, f.family.Sum64(key))
-	default:
-		return f.family.Sum(dst, key)
-	}
+func (f *Filter) Sums(pkt *packet.Packet) []uint32 {
+	f.ix.Derive(f.sums, unsafe.Slice(pkt, 1))
+	return f.sums
 }
 
-// processSums is pass B of the packet decision: Algorithm 2 over
-// already-derived indexes. Shared by Process (which derives inline) and
-// ProcessHashed (which reads the pass-A scratch); both therefore make
-// bit-identical decisions and draw from the rng in the same order.
+// ProcessSums is pass B of the packet decision: Algorithm 2 over
+// already-derived indexes (Sums, Hashed, or an Indexer shared by many
+// filters). Process, ProcessBatch and every Limiter path decide
+// through it, so they make bit-identical decisions and draw from the
+// rng in the same order. Counter deltas stay pending until FlushStats.
 //
 //p2p:hotpath
-func (f *Filter) processSums(pkt *packet.Packet, sums []uint32, pd float64) Verdict {
+func (f *Filter) ProcessSums(pkt *packet.Packet, sums []uint32, pd float64) Verdict {
 	f.stepSweep()
 	if pkt.Dir == packet.Outbound {
 		f.pend.outbound++
@@ -566,7 +561,7 @@ func (f *Filter) processSums(pkt *packet.Packet, sums []uint32, pd float64) Verd
 
 // FlushStats publishes the counter deltas accumulated since the last
 // flush into the atomic counters Stats reads. Process flushes itself;
-// callers driving the two-pass batch API (HashBatch/ProcessHashed)
+// callers driving the two-pass batch API (HashBatch/ProcessSums)
 // directly must call it once per chunk — ProcessBatch does. Until the
 // flush, pending deltas are invisible to concurrent Stats readers,
 // which only weakens a snapshot by at most one chunk of packets.
@@ -599,8 +594,8 @@ func (f *Filter) FlushStats() {
 //
 //p2p:hotpath
 func (f *Filter) Mark(pair packet.SocketPair) {
-	f.sums = f.appendSums(f.sums[:0], f.enc.Outbound(pair))
-	f.markSums(f.sums)
+	pkt := packet.Packet{Pair: pair, Dir: packet.Outbound}
+	f.markSums(f.Sums(&pkt))
 }
 
 // markSums sets the derived indexes in all k bit vectors. In the
@@ -628,12 +623,13 @@ func (f *Filter) markSums(sums []uint32) {
 //
 //p2p:hotpath
 func (f *Filter) Contains(inboundPair packet.SocketPair) bool {
-	f.sums = f.appendSums(f.sums[:0], f.enc.Inbound(inboundPair))
+	pkt := packet.Packet{Pair: inboundPair, Dir: packet.Inbound}
+	sums := f.Sums(&pkt)
 	cur := f.vectors[f.idx]
 	if f.layout == hashes.LayoutBlocked {
-		return cur.GetAligned(f.sums)
+		return cur.GetAligned(sums)
 	}
-	for _, h := range f.sums {
+	for _, h := range sums {
 		if !cur.Get(h) {
 			return false
 		}
@@ -661,90 +657,71 @@ const BatchChunk = 64
 //	n := f.HashBatch(pkts)
 //	for i := 0; i < n; i++ {
 //		f.Advance(pkts[i].TS)
-//		dst = append(dst, f.ProcessHashed(i, &pkts[i], pd))
+//		dst = append(dst, f.ProcessSums(&pkts[i], f.Hashed(i), pd))
 //	}
+//	f.FlushStats()
 //
 //p2p:hotpath
 func (f *Filter) HashBatch(pkts []packet.Packet) int {
-	n := len(pkts)
-	if n > BatchChunk {
-		n = BatchChunk
-	}
-	m := f.cfg.M
-	// The scratch goes through a local header so stores to it are not
-	// pinned behind the opaque hash calls. One-shot derivations hash
-	// from the socket-pair fields directly (KeyWords): the key never
-	// round-trips through the encoder buffer, whose byte stores and
-	// overlapping word loads defeat store-to-load forwarding. Per-index
-	// families walk key bytes and keep the encoder path.
-	sums := f.bsums
-	cur := f.vectors[f.idx]
-	blocked := f.layout == hashes.LayoutBlocked
-	oneshot := f.scheme == hashes.SchemeOneShot
-	hp := f.cfg.HolePunch
-	klen := uint64(packet.KeySize)
-	if hp {
-		klen = packet.HolePunchKeySize
-	}
-	fam := f.family
-	for i := 0; i < n; i++ {
-		// Inverting inbound pairs inline keeps the encoder call a leaf
-		// (Outbound inlines here; the Inbound wrapper does not).
-		pair := pkts[i].Pair
-		out := pkts[i].Dir == packet.Outbound
-		if !out {
-			pair = pair.Inverse()
-		}
-		group := sums[i*m : i*m+m]
-		if oneshot {
-			var a, b uint64
-			if hp {
-				a, b = pair.HolePunchKeyWords()
-			} else {
-				a, b = pair.KeyWords()
-			}
-			h := hashes.Sum64Words(a, b, klen)
-			if blocked {
-				fam.BlockedInto(group, h)
-			} else {
-				fam.DerivedInto(group, h)
-			}
-		} else {
-			fam.SumInto(group, f.enc.Outbound(pair))
-		}
-		if !f.touch {
-			continue
-		}
-		if blocked {
-			// All m bits share one line per vector; one touch covers them.
-			group = group[:1]
-		}
-		if out {
-			for _, v := range f.vectors {
-				for _, h := range group {
-					v.Touch(h)
-				}
-			}
-		} else {
-			for _, h := range group {
-				cur.Touch(h)
-			}
+	n := min(len(pkts), BatchChunk)
+	f.ix.Derive(f.bsums, pkts[:n])
+	if f.touch {
+		m := f.cfg.M
+		for i := 0; i < n; i++ {
+			f.TouchLines(f.bsums[i*m:i*m+m], pkts[i].Dir == packet.Outbound)
 		}
 	}
 	f.hashed = n
 	return n
 }
 
-// ProcessHashed is pass B for the i-th packet of the chunk most
-// recently hashed by HashBatch: the Algorithm 2 decision over the
-// pass-A indexes. pkt must be the same packet passed to HashBatch at
-// position i. Verdicts, statistics, and rng draws are identical to
-// calling Process on the same sequence.
+// Hashed returns the indexes HashBatch derived for the i-th packet of
+// its chunk.
 //
 //p2p:hotpath
-func (f *Filter) ProcessHashed(i int, pkt *packet.Packet, pd float64) Verdict {
+func (f *Filter) Hashed(i int) []uint32 {
 	m := f.cfg.M
-	return f.processSums(pkt, f.bsums[i*m:i*m+m], pd)
+	return f.bsums[i*m : i*m+m]
+}
+
+// TouchLines loads the bit lines a decision over sums will read or
+// write — every vector's for an outbound mark, the current vector's
+// for an inbound lookup — without changing any state, so that the line
+// fills of many packets overlap ahead of their decisions.
+//
+//p2p:hotpath
+func (f *Filter) TouchLines(sums []uint32, outbound bool) {
+	if f.layout == hashes.LayoutBlocked {
+		// All m bits share one line per vector; one touch covers them.
+		sums = sums[:1]
+	}
+	if outbound {
+		for _, v := range f.vectors {
+			for _, h := range sums {
+				v.Touch(h)
+			}
+		}
+		return
+	}
+	cur := f.vectors[f.idx]
+	for _, h := range sums {
+		cur.Touch(h)
+	}
+}
+
+// Headers loads the state a decision reads before its bit lines — the
+// rotation schedule, pending counters and every vector's header — and
+// returns a value derived from it, which the caller folds into a sink
+// so the loads stay. A batch kernel deciding across many filters calls
+// it for a chunk of packets in a row, so that their misses overlap.
+//
+//p2p:hotpath
+func (f *Filter) Headers() uint64 {
+	s := uint64(f.lastTS) + uint64(f.next) + uint64(f.pend.inbound) + uint64(f.cfg.DeltaT)
+	for _, v := range f.vectors {
+		s += v.Header()
+	}
+	return s
 }
 
 // ProcessBatch runs Advance and Process over a timestamp-sorted slice of
@@ -766,7 +743,7 @@ func (f *Filter) ProcessBatch(pkts []packet.Packet, pd float64, dst []Verdict) [
 		n := f.HashBatch(pkts)
 		for i := 0; i < n; i++ {
 			f.Advance(pkts[i].TS)
-			dst = append(dst, f.ProcessHashed(i, &pkts[i], pd))
+			dst = append(dst, f.ProcessSums(&pkts[i], f.Hashed(i), pd))
 		}
 		f.FlushStats()
 		pkts = pkts[n:]

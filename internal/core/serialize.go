@@ -59,7 +59,7 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	crc := crc32.New(castagnoli)
 	cw := io.MultiWriter(w, crc)
 
-	hdr := f.encodeHeader(snapshotV2)
+	hdr := encodeHeader(snapshotV2, f.cfg, f.started, f.idx, f.next)
 	total := int64(0)
 	n, err := cw.Write(hdr[:])
 	total += int64(n)
@@ -83,40 +83,64 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	return total, nil
 }
 
-// encodeHeader renders the fixed snapshot header for the given version.
+// AppendSnapshot appends to dst the version-2 snapshot of a filter
+// with configuration cfg, rotation state rot, and vector words as
+// SpillWords copied them: byte for byte what WriteTo writes for that
+// filter. A tenant manager keeps idle filters as raw words and renders
+// the snapshot format only when it saves.
+func AppendSnapshot(dst []byte, cfg Config, rot RotationState, words []uint64) []byte {
+	// Filters store their resolved scheme and layout; a configuration
+	// taken before construction may still hold the zero defaults. The
+	// combination was valid when the filter was built.
+	cfg.HashScheme, cfg.Layout, _ = hashes.ResolveSchemeLayout(cfg.HashScheme, cfg.Layout)
+	start := len(dst)
+	hdr := encodeHeader(snapshotV2, cfg, rot.Started, rot.Index, rot.Next)
+	dst = append(dst, hdr[:]...)
+	n := len(words) / cfg.K
+	for lo := 0; lo < len(words); lo += n {
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(8*n))
+		for _, w := range words[lo : lo+n] {
+			dst = binary.LittleEndian.AppendUint64(dst, w)
+		}
+	}
+	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
+}
+
+// encodeHeader renders the fixed snapshot header for the given version
+// from a filter's configuration and rotation schedule.
 //
 //p2p:codec snapshotv2 encode
-func (f *Filter) encodeHeader(version uint32) [snapshotHeaderLen]byte {
+func encodeHeader(version uint32, cfg Config, started bool, idx int, next time.Duration) [snapshotHeaderLen]byte {
 	var hdr [snapshotHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], snapshotMagic)
 	binary.LittleEndian.PutUint32(hdr[4:], version)
-	binary.LittleEndian.PutUint32(hdr[8:], uint32(f.cfg.K))
-	binary.LittleEndian.PutUint32(hdr[12:], uint32(f.cfg.NBits))
-	binary.LittleEndian.PutUint32(hdr[16:], uint32(f.cfg.M))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(f.cfg.DeltaT))
-	kind := f.cfg.HashKind
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(cfg.K))
+	binary.LittleEndian.PutUint32(hdr[12:], uint32(cfg.NBits))
+	binary.LittleEndian.PutUint32(hdr[16:], uint32(cfg.M))
+	binary.LittleEndian.PutUint64(hdr[20:], uint64(cfg.DeltaT))
+	kind := cfg.HashKind
 	if kind == 0 {
 		kind = hashes.FNVDouble
 	}
 	binary.LittleEndian.PutUint32(hdr[28:], uint32(kind))
-	if f.cfg.HolePunch {
+	if cfg.HolePunch {
 		hdr[32] = 1
 	}
-	if f.started {
+	if started {
 		hdr[33] = 1
 	}
 	// Bytes 34 and 35 were reserved-zero until the blocked-layout
 	// release; they now carry the resolved index-derivation scheme and
 	// bit layout. Older streams read as zero, which maps back to the
 	// defaults, so every previously written snapshot keeps its meaning.
-	// newFilter resolves cfg.HashScheme/cfg.Layout in place, so these
-	// equal f.scheme/f.layout; reading the cfg copies keeps the codec
-	// field sets symmetric with readFilter's Config literal.
-	hdr[34] = byte(f.cfg.HashScheme)
-	hdr[35] = byte(f.cfg.Layout)
-	binary.LittleEndian.PutUint32(hdr[36:], uint32(f.idx))
-	binary.LittleEndian.PutUint64(hdr[40:], uint64(f.next))
-	binary.LittleEndian.PutUint64(hdr[48:], f.cfg.Seed)
+	// newFilter resolves cfg.HashScheme/cfg.Layout in place, and
+	// AppendSnapshot resolves its own copy, so these are never the zero
+	// defaults.
+	hdr[34] = byte(cfg.HashScheme)
+	hdr[35] = byte(cfg.Layout)
+	binary.LittleEndian.PutUint32(hdr[36:], uint32(idx))
+	binary.LittleEndian.PutUint64(hdr[40:], uint64(next))
+	binary.LittleEndian.PutUint64(hdr[48:], cfg.Seed)
 	return hdr
 }
 
@@ -124,7 +148,7 @@ func (f *Filter) encodeHeader(version uint32) [snapshotHeaderLen]byte {
 // It exists so the version-1 read path stays covered by tests; new
 // snapshots are always version 2.
 func (f *Filter) writeToV1(w io.Writer) (int64, error) {
-	hdr := f.encodeHeader(snapshotV1)
+	hdr := encodeHeader(snapshotV1, f.cfg, f.started, f.idx, f.next)
 	total := int64(0)
 	n, err := w.Write(hdr[:])
 	total += int64(n)

@@ -72,6 +72,17 @@ func (m *Meter) Rate(ts time.Duration) float64 {
 	return float64(sum*8) / window.Seconds()
 }
 
+// Header loads the meter state Add and Rate read first — the ring
+// position and the current bucket's line — and returns a value derived
+// from it. A batch kernel calls it for many meters in a row, so that
+// their misses overlap; the caller folds the result into a sink so the
+// loads stay.
+//
+//p2p:hotpath
+func (m *Meter) Header() uint64 {
+	return uint64(m.headStart) + uint64(m.buckets[m.head])
+}
+
 // TotalBytes returns the total bytes accounted since construction. It
 // is safe to call from any goroutine concurrently with Add.
 //

@@ -427,11 +427,39 @@ func (l *Limiter) Process(p Packet) Decision {
 		l.unroutable.Add(1)
 		return Drop
 	}
-	l.clampTS(&pkt)
 	f := l.filter.Load()
+	d := l.step(f, &p, &pkt, f.Sums(&pkt))
+	f.FlushStats()
+	return d
+}
+
+// step is the one decision step of every path that decides a packet —
+// Process, ProcessBatch, and the tenant manager's batch kernel: clamp
+// the timestamp, Advance the filter, take P_d, run Algorithm 2 over the
+// packet's precomputed indexes (which depend on neither time nor
+// meter), then meter and trace. The filter's counter deltas stay
+// pending until the caller's FlushStats. Callers run on the limiter's
+// processing goroutine — for a tenant limiter, the goroutine owning
+// its tenant shard.
+//
+//p2p:hotpath
+//p2p:confined limproc entry
+func (l *Limiter) step(f *core.Filter, p *Packet, pkt *packet.Packet, sums []uint32) Decision {
+	l.clampTS(pkt)
 	f.Advance(pkt.TS)
 	pd := l.pd(pkt.TS)
-	return l.decide(f, &p, &pkt, pd, f.Process(&pkt, pd))
+	return l.decide(f, p, pkt, pd, f.ProcessSums(pkt, sums, pd))
+}
+
+// headers loads the limiter state step reads before the filter — the
+// clamp high-water mark, the P_d cache and the meter — and returns a
+// value derived from it, for the tenant kernel's sink (see
+// core.Filter.Headers).
+//
+//p2p:hotpath
+//p2p:confined limproc entry
+func (l *Limiter) headers() uint64 {
+	return uint64(l.maxTS) + uint64(l.pdUntil) + l.meter.Header()
 }
 
 // clampTS applies the monotonic clock guard to pkt and advances the
@@ -452,9 +480,9 @@ func (l *Limiter) clampTS(pkt *packet.Packet) {
 	l.now = pkt.TS
 }
 
-// decide applies the post-verdict bookkeeping — uplink metering, P_d
-// cache invalidation, drop telemetry, and sampled tracing — shared by
-// Process and ProcessBatch, and maps the filter verdict to a Decision.
+// decide applies the post-verdict bookkeeping of step — uplink
+// metering, P_d cache invalidation, drop telemetry, and sampled
+// tracing — and maps the filter verdict to a Decision.
 //
 //p2p:hotpath
 //p2p:confined limproc
@@ -551,11 +579,7 @@ func (l *Limiter) processChunk(chunk []Packet, dst []Decision) []Decision {
 			dst = append(dst, Drop) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 			continue
 		}
-		pkt := &sc.bpkts[i]
-		l.clampTS(pkt)
-		f.Advance(pkt.TS)
-		pd := l.pd(pkt.TS)
-		dst = append(dst, l.decide(f, &chunk[i], pkt, pd, f.ProcessHashed(i, pkt, pd))) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
+		dst = append(dst, l.step(f, &chunk[i], &sc.bpkts[i], f.Hashed(i))) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 	}
 	f.FlushStats()
 	return dst

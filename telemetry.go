@@ -179,7 +179,7 @@ func (t *Telemetry) attachTenantManager(m *TenantManager) {
 		func() float64 { return float64(m.noTenant.Load()) }, lbl)
 	t.reg.CounterFunc("p2pbound_tenant_unroutable_total", "Unclassifiable (non-IPv4) packets dropped defensively.",
 		func() float64 { return float64(m.unroutable.Load()) }, lbl)
-	t.reg.CounterFunc("p2pbound_tenant_hydrate_fallbacks_total", "Rehydrations that could not decode their spill and restarted fresh.",
+	t.reg.CounterFunc("p2pbound_tenant_hydrate_fallbacks_total", "Rehydrations whose saved rng position failed to decode, restarting the tenant's P_d draws from its seed.",
 		func() float64 { return float64(m.hydrateFallbacks.Load()) }, lbl)
 	for _, sh := range m.shards {
 		sh := sh
@@ -188,9 +188,9 @@ func (t *Telemetry) attachTenantManager(m *TenantManager) {
 			func() float64 { return float64(sh.hydrated.Load()) }, slbl, lbl)
 		t.reg.CounterFunc("p2pbound_tenant_hydrations_total", "Tenants given live filter vectors.",
 			func() float64 { return float64(sh.hydrations.Load()) }, slbl, lbl)
-		t.reg.CounterFunc("p2pbound_tenant_evictions_total", "Tenants spilled to snapshot form.",
+		t.reg.CounterFunc("p2pbound_tenant_evictions_total", "Tenants spilled out of live filter vectors.",
 			func() float64 { return float64(sh.evictions.Load()) }, slbl, lbl)
-		t.reg.GaugeFunc("p2pbound_tenant_spill_bytes", "Bytes currently held in spilled bitmap snapshots.",
+		t.reg.GaugeFunc("p2pbound_tenant_spill_bytes", "Raw filter words currently held by spilled tenants.",
 			func() float64 { return float64(sh.spillBytes.Load()) }, slbl, lbl)
 		t.reg.GaugeFunc("p2pbound_tenant_arena_bytes", "Slab storage backing the shard's bit-vector arena.",
 			func() float64 { return float64(sh.arena.FootprintBytes()) }, slbl, lbl)

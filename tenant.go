@@ -1,7 +1,6 @@
 package p2pbound
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -75,31 +74,41 @@ type TenantManagerConfig struct {
 // tenant is one subscriber's control block. The shell Limiter (meter,
 // P_d cache, clamp state, folded counters) is always resident — a few
 // hundred bytes — while the bitmap filter, the dominant cost, exists
-// only while the tenant is hydrated. Evicting spills the filter into
-// the v2+CRC32C snapshot format (or, for an empty filter, just the
-// rotation and rng state) and recycles its vectors into the shard
-// arena.
+// only while the tenant is hydrated. Evicting copies the filter's
+// words (none, for an empty filter) and its rotation and rng state
+// into the tenant, and returns the filter shell, vectors and all, to
+// the shard for the next hydration.
 type tenant struct {
-	id   string
-	net  packet.Network
-	seed uint64
-	sh   *tshard
-	lim  *Limiter
-
-	hydrated bool //p2p:confined tenantshard
-	// spilled marks that rot/rngState hold a real suspended position (a
-	// tenant that was hydrated at least once); a never-hydrated tenant
-	// starts from the fresh-filter state instead.
-	spilled     bool               //p2p:confined tenantshard
-	spillBitmap []byte             //p2p:confined tenantshard // v2 core snapshot, nil when empty
-	rot         core.RotationState //p2p:confined tenantshard
-	rngState    []byte             //p2p:confined tenantshard
-
+	// The fields every packet's touch reads lead the struct, so a cold
+	// tenant costs the batch kernel one cache line.
+	sh  *tshard
+	lim *Limiter
 	// lastActive is the shard activity clock value of the tenant's most
 	// recent packet; the intrusive LRU list below is ordered by it
 	// (head = most recent) because the clock is monotone.
 	lastActive time.Duration //p2p:confined tenantshard
 	prev, next *tenant       //p2p:confined tenantshard
+	hydrated   bool          //p2p:confined tenantshard
+	// chunk numbers the last batch-kernel chunk that counted this
+	// tenant against MaxHydratedPerShard.
+	chunk uint64 //p2p:confined tenantshard
+
+	id   string
+	net  packet.Network
+	seed uint64
+
+	// spilled marks that rot/rng hold a real suspended position (a
+	// tenant that was hydrated at least once); a never-hydrated tenant
+	// starts from the fresh-filter state instead.
+	spilled bool //p2p:confined tenantshard
+	// words is the spilled filter's k vectors as raw words, a record of
+	// the shard's spill pool; nil when the filter held no mark.
+	words []uint64 //p2p:confined tenantshard
+	// wordsSeed is the configured seed of the filter words came from,
+	// which its snapshot header records.
+	wordsSeed uint64             //p2p:confined tenantshard
+	rot       core.RotationState //p2p:confined tenantshard
+	rng       []byte             //p2p:confined tenantshard
 }
 
 // tshard is one single-writer island of the manager: only one goroutine
@@ -111,16 +120,58 @@ type tshard struct {
 	idx   int
 	arena *bitvec.Arena
 	agg   *aggBudget // nil when the aggregate budget is disabled
+	kern  *tkernel   // the batch kernel of the shard's TenantPipeline worker
 
 	now     time.Duration //p2p:confined tenantshard // monotone activity clock (max packet ts seen)
 	lruHead *tenant       //p2p:confined tenantshard
 	lruTail *tenant       //p2p:confined tenantshard
+	// shells holds the filters of evicted tenants, vectors and all,
+	// for the next hydrations to reset and reuse.
+	shells []*core.Filter //p2p:confined tenantshard
+	spill  spillPool      //p2p:confined tenantshard
+	// touchLines is whether the shard arena has outgrown the cache, so
+	// the kernel's pass A touches bit lines ahead of pass B.
+	touchLines bool //p2p:confined tenantshard
 
 	hydrated   atomic.Int64 //p2p:atomic
 	hydrations atomic.Int64 //p2p:atomic
 	evictions  atomic.Int64 //p2p:atomic
 	spillBytes atomic.Int64 //p2p:atomic
 }
+
+// spillPool recycles one shard's spill records, each the raw words of
+// one filter's k vectors. Records are carved from slabs as the arena
+// carves vector spans, so eviction churn allocates nothing once the
+// pool has grown to the shard's peak of spilled marked filters.
+type spillPool struct {
+	words   int // words per record
+	perSlab int
+	free    [][]uint64 //p2p:confined tenantshard
+	cur     []uint64   //p2p:confined tenantshard
+}
+
+// get returns a record of p.words words with undefined contents.
+//
+//p2p:confined tenantshard
+func (p *spillPool) get() []uint64 {
+	if n := len(p.free); n > 0 {
+		w := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return w
+	}
+	if len(p.cur) < p.words {
+		p.cur = make([]uint64, p.words*p.perSlab)
+	}
+	w := p.cur[:p.words:p.words]
+	p.cur = p.cur[p.words:]
+	return w
+}
+
+// put returns a record for reuse.
+//
+//p2p:confined tenantshard
+func (p *spillPool) put(w []uint64) { p.free = append(p.free, w) }
 
 // routeTable is the immutable per-packet routing state, swapped
 // copy-on-write by AddTenants so the lookup takes no lock and performs
@@ -130,20 +181,39 @@ type routeTable struct {
 	byKey map[uint32]*tenant
 }
 
+// lookup resolves a packet's addresses to its tenant: the source
+// subscriber if the source address is registered (the outbound view,
+// matching packet.Classify's source preference), else the destination
+// subscriber. key is the route key that matched, and out reports that
+// it was the source: only a source inside the subscriber network makes
+// the packet outbound for that subscriber.
+//
+//p2p:hotpath
+func (rt *routeTable) lookup(src, dst packet.Addr) (t *tenant, key uint32, out bool) {
+	key = uint32(src) >> rt.shift
+	if t = rt.byKey[key]; t != nil {
+		return t, key, true
+	}
+	key = uint32(dst) >> rt.shift
+	return rt.byKey[key], key, false
+}
+
 // TenantManager multiplexes per-subscriber limiters — O(100k) on one
 // process — behind a single Process/ProcessBatch surface: packets are
 // routed to their subscriber by CIDR, each subscriber runs the paper's
 // full bitmap-filter + RED pipeline against its own thresholds, and
 // every subscriber's drop probability is nested under a shared uplink
 // budget (hierarchical RED) so one seeding tenant cannot starve the
-// edge. Idle tenants spill their filters to the checksummed snapshot
-// format and rehydrate verdict-exactly on their next packet.
+// edge. Idle tenants spill their filters as raw words and rehydrate
+// verdict-exactly on their next packet.
 //
 // Concurrency contract: packet processing, hydration, and eviction are
-// single-writer per shard (use TenantPipeline for one worker per
-// shard); SaveTenantState and RestoreTenantState are control-plane
-// calls that must not run concurrently with processing; AddTenants,
-// Stats, TenantStats, and telemetry scrapes may run at any time.
+// single-writer per shard. Direct Process, ProcessBatch and EvictIdle
+// calls share one goroutine — they may touch any shard and share one
+// batch kernel — while a TenantPipeline runs one worker per shard.
+// SaveTenantState and RestoreTenantState are control-plane calls that
+// must not run concurrently with processing; AddTenants, Stats,
+// TenantStats, and telemetry scrapes may run at any time.
 type TenantManager struct {
 	cfg     TenantManagerConfig
 	tmpl    Config
@@ -153,6 +223,10 @@ type TenantManager struct {
 	routes atomic.Pointer[routeTable] //p2p:atomic
 
 	shards []*tshard
+	// kern is the batch kernel of direct Process and ProcessBatch calls.
+	kern *tkernel //p2p:confined tenantshard
+	// chunks numbers batch-kernel chunks for the hydration cap.
+	chunks atomic.Uint64 //p2p:atomic
 
 	mu      sync.Mutex
 	tenants []*tenant
@@ -192,18 +266,36 @@ func NewTenantManager(cfg TenantManagerConfig) (*TenantManager, error) {
 	if window <= 0 {
 		window = 5 * time.Second
 	}
+	kern, err := newTKernel(coreCfg)
+	if err != nil {
+		return nil, err
+	}
 	m := &TenantManager{
 		cfg:     cfg,
 		tmpl:    tmpl,
 		coreCfg: coreCfg,
+		kern:    kern,
 		netMask: packet.Addr(^uint32(0) << (32 - cfg.PrefixBits)),
 		shards:  make([]*tshard, cfg.Shards),
 		byID:    make(map[string]*tenant),
 	}
+	slabVectors := cfg.SlabVectors
+	if slabVectors <= 0 {
+		slabVectors = 64
+	}
 	for i := range m.shards {
+		kern, err := newTKernel(coreCfg)
+		if err != nil {
+			return nil, err
+		}
 		sh := &tshard{
 			idx:   i,
 			arena: bitvec.NewArena(1<<coreCfg.NBits, cfg.SlabVectors),
+			kern:  kern,
+			spill: spillPool{
+				words:   coreCfg.K * max(1, (1<<coreCfg.NBits)/64),
+				perSlab: max(1, slabVectors/coreCfg.K),
+			},
 		}
 		if cfg.AggregateHighMbps > 0 {
 			n := float64(cfg.Shards)
@@ -281,7 +373,7 @@ func (m *TenantManager) AddTenants(tcs []TenantConfig) error {
 		if err != nil {
 			return fmt.Errorf("p2pbound: tenant %q: %w", id, err)
 		}
-		sh := m.shards[int(key)%len(m.shards)]
+		sh := m.shardOfKey(key)
 		lim.agg = sh.agg
 		t := &tenant{id: id, net: net, seed: cfg.Seed, sh: sh, lim: lim}
 		byKey[key] = t
@@ -300,112 +392,230 @@ func (m *TenantManager) AddTenants(tcs []TenantConfig) error {
 	return nil
 }
 
-// route resolves a packet to its tenant: the source subscriber if the
-// source address is registered (the outbound view, matching
-// packet.Classify's source preference), else the destination
-// subscriber. ok is false for unclassifiable (non-IPv4) packets. The
-// lookup is lock-free and allocation-free: one atomic load, a shift,
-// and at most two reads of an immutable map.
+// shardOfKey returns the shard owning the tenant with route key key:
+// tenants are spread over shards round-robin by key.
+func (m *TenantManager) shardOfKey(key uint32) *tshard {
+	return m.shards[int(key)%len(m.shards)]
+}
+
+// route resolves a packet to its tenant (see routeTable.lookup). ok is
+// false for unclassifiable (non-IPv4) packets. The lookup is lock-free
+// and allocation-free: one atomic load, a shift, and at most two reads
+// of an immutable map.
 //
 //p2p:hotpath
 func (m *TenantManager) route(p *Packet) (t *tenant, ok bool) {
 	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
 		return nil, false
 	}
-	rt := m.routes.Load()
-	s := p.SrcAddr.As4()
-	if t := rt.byKey[uint32(packet.AddrFrom4(s[0], s[1], s[2], s[3]))>>rt.shift]; t != nil {
-		return t, true
-	}
-	d := p.DstAddr.As4()
-	if t := rt.byKey[uint32(packet.AddrFrom4(d[0], d[1], d[2], d[3]))>>rt.shift]; t != nil {
-		return t, true
-	}
-	return nil, true
+	s, d := p.SrcAddr.As4(), p.DstAddr.As4()
+	t, _, _ = m.routes.Load().lookup(packet.AddrFrom4(s[0], s[1], s[2], s[3]), packet.AddrFrom4(d[0], d[1], d[2], d[3]))
+	return t, true
 }
 
 // Process routes and decides one packet. A packet matching no
 // registered subscriber is dropped defensively (counted in
 // Stats.NoTenant), exactly as a bare Limiter defensively drops
 // unclassifiable packets; a non-IPv4 packet is counted in
-// Stats.Unroutable. Single-writer per shard — see the type comment.
+// Stats.Unroutable. It is ProcessBatch of one packet; see the type
+// comment for the goroutine contract.
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) Process(p Packet) Decision {
-	t, ok := m.route(&p)
-	if t == nil {
-		if ok {
-			m.noTenant.Add(1)
-		} else {
-			m.unroutable.Add(1)
-		}
-		return Drop
-	}
-	m.touch(t, p.Timestamp)
-	return t.lim.Process(p)
+	pkts := [1]Packet{p}
+	var d [1]Decision
+	return m.processBatch(m.kern, nil, pkts[:], d[:0])[0]
 }
 
 // ProcessBatch routes and decides a timestamp-sorted slice of packets,
-// appending one Decision per packet to dst. Consecutive packets of the
-// same tenant are decided as one run through the tenant limiter's
-// two-pass batch path, so a single-tenant batch costs exactly what the
-// bare Limiter.ProcessBatch costs, while a many-tenant interleaving
-// degrades gracefully to per-packet decisions.
+// appending one Decision per packet to dst. Verdicts, every tenant's
+// counters, and hydrations and evictions are those of calling Process
+// on each packet in turn; internally the batch runs through a two-pass
+// kernel across tenants (see processBatch), so the cache misses of
+// interleaved subscribers overlap instead of queueing one behind the
+// other.
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) ProcessBatch(pkts []Packet, dst []Decision) []Decision {
-	return m.processBatch(nil, pkts, dst)
+	return m.processBatch(m.kern, nil, pkts, dst)
 }
 
-// processBatch is ProcessBatch, scoped to one shard when owner is
-// non-nil: a packet routing to another shard's tenant is dropped and
-// counted NoTenant, never decided on a tenant this goroutine does not
-// own. That happens only when the tenant was registered after a
-// TenantPipeline producer routed the packet as tenantless.
+// tkernel is the scratch of the cross-tenant batch kernel for one chunk
+// of at most core.BatchChunk packets: each packet's tenant (nil when it
+// has none), its internal form, and its m indexes. Every tenant shares
+// the manager's geometry, so one Indexer derives the indexes for all
+// of them.
+type tkernel struct {
+	ix   *core.Indexer
+	m    int
+	tens [core.BatchChunk]*tenant
+	pkts [core.BatchChunk]packet.Packet
+	sums []uint32
+	// sink keeps pass A's warming loads from being discarded.
+	sink uint64
+}
+
+func newTKernel(cfg core.Config) (*tkernel, error) {
+	ix, err := core.NewIndexer(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("p2pbound: %w", err)
+	}
+	return &tkernel{ix: ix, m: cfg.M, sums: make([]uint32, core.BatchChunk*cfg.M)}, nil
+}
+
+// processBatch is ProcessBatch on kernel k, scoped to one shard when
+// owner is non-nil: a packet routing to another shard's tenant is
+// dropped and counted NoTenant, never decided on a tenant this
+// goroutine does not own. That happens only when the tenant was
+// registered after a TenantPipeline producer routed the packet as
+// tenantless.
+//
+// The batch runs in chunks of at most core.BatchChunk packets, two
+// passes each. Pass A routes every packet, converts it, derives its
+// indexes, and touches its tenant in packet order — advancing the
+// activity clock, hydrating, evicting, reordering the LRU exactly as
+// Process would — and between those steps loads each level of the
+// chunk's per-packet state in a loop of its own, so that the cache
+// misses of different packets overlap instead of forming one chain per
+// packet. Pass B then decides the packets in their original order
+// through Limiter.step, so every tenant's rotation, meter, rng and the
+// shard's aggregate budget see exactly the inputs of per-packet
+// processing.
 //
 //p2p:confined tenantshard
-func (m *TenantManager) processBatch(owner *tshard, pkts []Packet, dst []Decision) []Decision {
-	var run *tenant
-	start := 0
-	for i := range pkts {
-		t, ok := m.route(&pkts[i])
-		if t != nil && owner != nil && t.sh != owner {
-			t = nil
+func (m *TenantManager) processBatch(k *tkernel, owner *tshard, pkts []Packet, dst []Decision) []Decision {
+	for len(pkts) > 0 {
+		n := m.passA(k, owner, pkts)
+		dst = k.passB(pkts[:n], dst)
+		pkts = pkts[n:]
+	}
+	return dst
+}
+
+// passA prepares the chunk at the head of pkts and returns its length.
+// A chunk ends early rather than hold more distinct tenants than
+// MaxHydratedPerShard, so no hydration in it can evict a tenant the
+// same chunk still has to decide.
+//
+//p2p:confined tenantshard
+func (m *TenantManager) passA(k *tkernel, owner *tshard, pkts []Packet) int {
+	rt := m.routes.Load()
+	limit := m.cfg.MaxHydratedPerShard
+	var chunk uint64
+	if limit > 0 {
+		chunk = m.chunks.Add(1)
+	}
+	distinct := 0
+	mm := k.m
+	n := min(len(pkts), core.BatchChunk)
+	for i := 0; i < n; i++ {
+		p := &pkts[i]
+		k.tens[i] = nil
+		if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
+			m.unroutable.Add(1)
+			continue
 		}
-		if t == nil {
-			if ok {
-				m.noTenant.Add(1)
-			} else {
-				m.unroutable.Add(1)
+		s, d := p.SrcAddr.As4(), p.DstAddr.As4()
+		src, dst := packet.AddrFrom4(s[0], s[1], s[2], s[3]), packet.AddrFrom4(d[0], d[1], d[2], d[3])
+		t, key, out := rt.lookup(src, dst)
+		// A tenant's shard follows from its route key, so the owner
+		// check needs no load of the tenant itself.
+		if t == nil || owner != nil && m.shardOfKey(key) != owner {
+			m.noTenant.Add(1)
+			continue
+		}
+		if limit > 0 && t.chunk != chunk {
+			if distinct == limit {
+				n = i
+				break
+			}
+			distinct++
+			t.chunk = chunk
+		}
+		dir := packet.Inbound
+		if out {
+			dir = packet.Outbound
+		}
+		k.tens[i] = t
+		k.pkts[i] = packet.Packet{
+			TS: p.Timestamp,
+			Pair: packet.SocketPair{
+				Proto:   packet.Proto(p.Protocol),
+				SrcAddr: src, SrcPort: p.SrcPort,
+				DstAddr: dst, DstPort: p.DstPort,
+			},
+			Dir: dir,
+			Len: p.Size,
+		}
+	}
+	// Every slot is hashed, tenantless ones included: their indexes are
+	// never read, and one call for the chunk beats a call per packet.
+	k.ix.Derive(k.sums, k.pkts[:n])
+	tens := k.tens[:n]
+	sink := k.sink
+	// Tenant control blocks and the LRU neighbours a touch relinks.
+	for _, t := range tens {
+		if t != nil {
+			sink += uint64(t.lastActive)
+			if t.prev != nil {
+				sink += uint64(t.prev.lastActive)
+			}
+			if t.next != nil {
+				sink += uint64(t.next.lastActive)
 			}
 		}
-		if t != run {
-			dst = m.flushRun(run, pkts[start:i], dst)
-			run, start = t, i
+	}
+	for i, t := range tens {
+		if t != nil {
+			m.touch(t, k.pkts[i].TS)
 		}
 	}
-	return m.flushRun(run, pkts[start:], dst)
+	// Limiters and their meters.
+	for _, t := range tens {
+		if t != nil {
+			sink += t.lim.headers()
+		}
+	}
+	// Filters and their vector headers.
+	for _, t := range tens {
+		if t != nil {
+			sink += t.lim.filter.Load().Headers()
+		}
+	}
+	// Bit lines, once the shard's arena has outgrown the cache. The
+	// gate is the arena's, not one filter's: a tenant filter is a few
+	// KiB, but thousands of them share the shard's memory.
+	for i, t := range tens {
+		if t != nil && t.sh.touchLines {
+			t.lim.filter.Load().TouchLines(k.sums[i*mm:i*mm+mm], k.pkts[i].Dir == packet.Outbound)
+		}
+	}
+	k.sink = sink
+	return n
 }
 
-// flushRun decides one same-tenant run (or defensively drops a
-// no-tenant run).
+// passB decides the chunk pass A prepared, in packet order, appending
+// one Decision per packet to dst, then publishes every decided filter's
+// counters.
 //
-//p2p:confined tenantshard
-func (m *TenantManager) flushRun(t *tenant, run []Packet, dst []Decision) []Decision {
-	if len(run) == 0 {
-		return dst
-	}
-	if t == nil {
-		for range run {
-			dst = append(dst, Drop)
+//p2p:hotpath
+func (k *tkernel) passB(pkts []Packet, dst []Decision) []Decision {
+	mm := k.m
+	for i := range pkts {
+		t := k.tens[i]
+		if t == nil {
+			dst = append(dst, Drop) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
+			continue
 		}
-		return dst
+		l := t.lim
+		dst = append(dst, l.step(l.filter.Load(), &pkts[i], &k.pkts[i], k.sums[i*mm:i*mm+mm])) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 	}
-	m.touch(t, run[len(run)-1].Timestamp)
-	if len(run) == 1 {
-		return append(dst, t.lim.Process(run[0]))
+	for _, t := range k.tens[:len(pkts)] {
+		if t != nil {
+			t.lim.filter.Load().FlushStats()
+		}
 	}
-	return t.lim.ProcessBatch(run, dst)
+	return dst
 }
 
 // touch advances the shard activity clock, hydrates the tenant if its
@@ -428,12 +638,13 @@ func (m *TenantManager) touch(t *tenant, ts time.Duration) {
 	}
 }
 
-// hydrate gives t live filter vectors from its shard arena, restoring
-// the spilled bitmap, rotation schedule, clamp high-water mark, and rng
-// position when the tenant was evicted before — the rehydrated filter's
-// subsequent verdicts are bit-identical to one that never left memory.
-// Hydrating past MaxHydratedPerShard first evicts the shard's
-// least-recently-active tenants.
+// hydrate gives t a filter — a pooled shell of an evicted tenant, or
+// one carved from the shard arena — and restores the spilled words,
+// rotation schedule, clamp high-water mark, and rng position when the
+// tenant was evicted before: the rehydrated filter's subsequent
+// verdicts are bit-identical to one that never left memory. Hydrating
+// past MaxHydratedPerShard first evicts the shard's least-recently-
+// active tenants.
 //
 //p2p:confined tenantshard
 func (m *TenantManager) hydrate(t *tenant) {
@@ -443,57 +654,66 @@ func (m *TenantManager) hydrate(t *tenant) {
 			m.evict(sh.lruTail)
 		}
 	}
-	var f *core.Filter
-	if t.spillBitmap != nil {
-		got, err := core.ReadFilterWith(bytes.NewReader(t.spillBitmap), sh.arena)
-		if err == nil {
-			f = got
-		} else {
-			// The spill was produced by this process, so a decode failure
-			// is memory corruption or a bug; recover fail-closed-ish with
-			// a fresh filter (losing marks can only re-challenge flows,
-			// never admit unmarked ones) and surface it in stats.
-			m.hydrateFallbacks.Add(1)
-		}
-		sh.spillBytes.Add(-int64(len(t.spillBitmap)))
+	seed := t.seed
+	if t.words != nil {
+		seed = t.wordsSeed
 	}
-	if f == nil {
-		cfg := m.coreCfg
-		cfg.Seed = t.seed
-		got, err := core.NewWith(cfg, sh.arena)
-		if err != nil {
-			// The geometry was validated at construction; this cannot
-			// fail without a programming error.
-			panic("p2pbound: tenant hydrate: " + err.Error())
-		}
-		f = got
+	f := m.shell(sh, seed)
+	if t.words != nil {
+		f.LoadWords(t.words)
+		sh.spill.put(t.words)
+		sh.spillBytes.Add(-8 * int64(len(t.words)))
+		t.words = nil
 	}
 	if t.spilled {
 		if err := f.SetRotationState(t.rot); err != nil {
 			panic("p2pbound: tenant hydrate: " + err.Error())
 		}
-		if t.rngState != nil {
-			if err := f.SetRNGState(t.rngState); err != nil {
+		if t.rng != nil {
+			if err := f.SetRNGState(t.rng); err != nil {
 				m.hydrateFallbacks.Add(1)
 			}
 		}
 	}
-	f.SetReorderTolerance(m.coreCfg.ReorderTolerance)
 	t.lim.swapFilter(f)
-	t.spillBitmap = nil
 	t.hydrated = true
 	sh.lruPushFront(t)
 	sh.hydrated.Add(1)
 	sh.hydrations.Add(1)
 }
 
-// evict spills t's filter and recycles its vectors into the shard
-// arena. An empty filter — the common case for a tenant idle past its
-// expiry horizon, since the due-rotation jump clears every vector —
-// spills only the ~30-byte rotation/rng record; a filter still holding
-// marks spills the full v2+CRC32C snapshot so no admitted flow is
-// forgotten. The tenant's counters are folded into its limiter's base
-// (monotone Stats across any number of evict/rehydrate cycles).
+// shell returns a filter seeded with seed for a hydrating tenant on sh:
+// the shell of an evicted tenant, reset, or — when the shard has none
+// pooled — a new filter carved from the shard arena.
+//
+//p2p:confined tenantshard
+func (m *TenantManager) shell(sh *tshard, seed uint64) *core.Filter {
+	if n := len(sh.shells); n > 0 {
+		f := sh.shells[n-1]
+		sh.shells[n-1] = nil
+		sh.shells = sh.shells[:n-1]
+		f.Reset(seed)
+		return f
+	}
+	cfg := m.coreCfg
+	cfg.Seed = seed
+	f, err := core.NewWith(cfg, sh.arena)
+	if err != nil {
+		// The geometry was validated at construction; this cannot fail
+		// without a programming error.
+		panic("p2pbound: tenant hydrate: " + err.Error())
+	}
+	sh.touchLines = core.TouchWorthwhile(int64(sh.arena.FootprintBytes()))
+	return f
+}
+
+// evict spills t's filter and pools its shell for the shard's next
+// hydration. The filter's words go into a spill-pool record unless the
+// filter is empty — the common case for a tenant idle past its expiry
+// horizon, since the due-rotation jump clears every vector — and its
+// rotation and rng state into the tenant. The tenant's counters are
+// folded into its limiter's base (monotone Stats across any number of
+// evict/rehydrate cycles).
 //
 //p2p:confined tenantshard
 func (m *TenantManager) evict(t *tenant) {
@@ -502,28 +722,19 @@ func (m *TenantManager) evict(t *tenant) {
 	}
 	sh := t.sh
 	f := t.lim.filter.Load()
-	if f.Empty() {
-		t.spillBitmap = nil
-	} else {
-		var buf bytes.Buffer
-		buf.Grow(f.Bytes() + 512)
-		if _, err := f.WriteTo(&buf); err != nil {
-			// bytes.Buffer writes cannot fail; keep the tenant hydrated
-			// rather than lose marks if that ever changes.
-			return
-		}
-		t.spillBitmap = buf.Bytes()
-		sh.spillBytes.Add(int64(len(t.spillBitmap)))
+	if !f.Empty() {
+		t.words = sh.spill.get()
+		f.SpillWords(t.words)
+		t.wordsSeed = f.Config().Seed
+		sh.spillBytes.Add(8 * int64(len(t.words)))
 	}
 	t.rot = f.RotationState()
 	if b, err := f.RNGState(); err == nil {
-		t.rngState = b
+		t.rng = b
 	}
 	t.spilled = true
 	t.lim.swapFilter(nil)
-	if err := f.ReleaseVectors(sh.arena); err != nil {
-		panic("p2pbound: tenant evict: " + err.Error())
-	}
+	sh.shells = append(sh.shells, f)
 	sh.lruRemove(t)
 	t.hydrated = false
 	sh.hydrated.Add(-1)
@@ -533,8 +744,9 @@ func (m *TenantManager) evict(t *tenant) {
 // EvictIdle evicts every hydrated tenant whose last packet is at least
 // idle behind its shard's activity clock, returning how many were
 // evicted. idle 0 evicts everything. Like processing, it is
-// single-writer per shard: call it from the processing goroutine,
-// between batches (a TenantPipeline does this automatically).
+// single-writer per shard: call it from the goroutine of the direct
+// Process and ProcessBatch calls, between batches (a TenantPipeline
+// does this automatically).
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) EvictIdle(idle time.Duration) int {
@@ -608,10 +820,16 @@ type TenantManagerStats struct {
 	Unroutable int64
 	Hydrations int64 // tenants given live vectors (cumulative)
 	Evictions  int64 // tenants spilled (cumulative)
-	SpillBytes int64 // bytes currently held in spilled bitmap snapshots
-	// HydrateFallbacks counts rehydrations that could not decode their
-	// spill and restarted from a fresh filter; always zero short of
-	// memory corruption.
+	// SpillBytes is the raw filter words spilled tenants hold now: k·N/8
+	// bytes for each spilled tenant whose filter held a mark, nothing
+	// for one spilled empty. Records returned to a shard's spill pool
+	// are not counted.
+	SpillBytes int64
+	// HydrateFallbacks counts rehydrations whose saved rng position
+	// failed to decode, so the tenant's P_d draws restarted from its
+	// seed. Spilled words cannot fail to load and RestoreTenantState
+	// validates every rng record, so it stays zero short of memory
+	// corruption.
 	HydrateFallbacks int64
 	// ArenaBytes is the total slab storage backing all shards' vectors.
 	ArenaBytes int64

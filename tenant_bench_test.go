@@ -66,8 +66,11 @@ func benchTenantBatch(size, tenants, active int) []Packet {
 // multi-tenant hot path at three population scales. The 100k case is
 // the acceptance bar for the control plane: an idle-mostly population
 // two orders of magnitude larger than the active set must still route
-// and decide with zero allocations per operation.
+// and decide with zero allocations per operation. Their 256 active
+// 2^12-bit tenants fit in L2; the cold case has the shape of an ISP
+// edge instead, whose per-tenant state misses every cache.
 func BenchmarkTenantManagerProcessBatch(b *testing.B) {
+	b.Run("tenants=16384/cold", benchTenantCold)
 	for _, tenants := range []int{1, 1000, 100000} {
 		b.Run(fmt.Sprintf("tenants=%d", tenants), func(b *testing.B) {
 			m := benchTenantManager(b, tenants)
@@ -86,6 +89,94 @@ func BenchmarkTenantManagerProcessBatch(b *testing.B) {
 				b.Fatalf("benchmark traffic missed the tenant set: %+v", s)
 			}
 		})
+	}
+}
+
+// benchTenantCold has the shape of p2pbench's tenants workload: 16,384
+// /30 subscribers with 2^14-bit vectors under an aggregate budget, 4,096
+// of them active at a time in interleaved order, and EvictIdle(1s) every
+// 4,096-packet batch. The active window slides by 32 subscribers per
+// batch, so about 8 subscribers per 1,000 packets go idle, spill, and —
+// once the window wraps around the population — rehydrate from their
+// spilled words. Filters and spill records total some 130 MB, far past
+// any cache. An op is one batch; ns/pkt is the per-packet cost.
+func benchTenantCold(b *testing.B) {
+	const (
+		tenants   = 1 << 14
+		active    = 4096
+		slide     = 32
+		batchSize = 4096
+	)
+	m, err := NewTenantManager(TenantManagerConfig{
+		Tenant:            Config{VectorBits: 14, LowMbps: 0.05, HighMbps: 0.2, Seed: 9},
+		PrefixBits:        30,
+		AggregateLowMbps:  50,
+		AggregateHighMbps: 100,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	tcs := make([]TenantConfig, tenants)
+	for i := range tcs {
+		tcs[i] = TenantConfig{Network: netip.AddrFrom4([4]byte{10, 0, byte(i >> 6), byte(i << 2)}).String() + "/30"}
+	}
+	if err := m.AddTenants(tcs); err != nil {
+		b.Fatal(err)
+	}
+	batch := make([]Packet, batchSize)
+	dst := make([]Decision, 0, batchSize)
+	// fill builds batch n: each active subscriber's host 1 sends on flow
+	// n/2 in even batches and hears back on it in odd ones; every eighth
+	// response comes from an unsolicited port instead. The window moves
+	// only between pairs of batches, so a response finds its sender.
+	fill := func(n int) {
+		for i := range batch {
+			tn := ((n&^1)*slide + i%active) % tenants
+			host := netip.AddrFrom4([4]byte{10, 0, byte(tn >> 6), byte(tn<<2) | 1})
+			remote := netip.AddrFrom4([4]byte{203, 0, byte(n >> 9), byte(n >> 1)})
+			p := Packet{
+				Timestamp: time.Duration(n*batchSize+i) * 50 * time.Microsecond,
+				Protocol:  TCP,
+				SrcAddr:   host, SrcPort: uint16(20000 + i%1000),
+				DstAddr: remote, DstPort: 6881,
+				Size: 1200,
+			}
+			if n%2 == 1 {
+				p.SrcAddr, p.DstAddr = remote, host
+				p.SrcPort, p.DstPort = p.DstPort, p.SrcPort
+				if i%8 == 0 {
+					p.SrcPort = 7000
+				}
+			}
+			batch[i] = p
+		}
+	}
+	n := 0
+	step := func() {
+		fill(n)
+		n++
+		dst = m.ProcessBatch(batch, dst[:0])
+		m.EvictIdle(time.Second)
+	}
+	// Warm up through one full turn of the window around the population,
+	// so spilled subscribers are coming back when the timer starts.
+	for n < tenants/slide {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fill(n)
+		n++
+		b.StartTimer()
+		dst = m.ProcessBatch(batch, dst[:0])
+		m.EvictIdle(time.Second)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batchSize), "ns/pkt")
+	if s := m.Stats(); s.NoTenant != 0 || s.Unroutable != 0 || s.Hydrations <= tenants {
+		b.Fatalf("benchmark traffic missed the intended shape: %+v", s)
 	}
 }
 

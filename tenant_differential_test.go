@@ -1,6 +1,9 @@
 package p2pbound
 
 import (
+	"bytes"
+	"math"
+	"net/netip"
 	"testing"
 	"time"
 
@@ -163,4 +166,239 @@ func TestTenantDifferentialBatch(t *testing.T) {
 		mgr.EvictIdle(0) // spill between every chunk
 	}
 	checkDifferentialStats(t, bare, mgr, 1)
+}
+
+// manyTenantManager registers the /30 subscribers of 140.112.0.0/23 on
+// two shards, skipping every sixteenth so the trace also carries
+// tenantless packets. Both ramps can engage: each subscriber's own and
+// the aggregate budget over its shard, so P_d draws move every
+// tenant's rng.
+func manyTenantManager(t testing.TB, mutate func(*TenantManagerConfig)) *TenantManager {
+	t.Helper()
+	cfg := TenantManagerConfig{
+		Tenant: Config{
+			LowMbps:          0.002,
+			HighMbps:         0.02,
+			Vectors:          4,
+			VectorBits:       10,
+			RotateEvery:      2 * time.Second,
+			ReorderTolerance: 10 * time.Millisecond,
+			Seed:             5,
+		},
+		PrefixBits:        30,
+		Shards:            2,
+		AggregateLowMbps:  0.05,
+		AggregateHighMbps: 0.5,
+	}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	m, err := NewTenantManager(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tcs []TenantConfig
+	for i := 0; i < 128; i++ {
+		if i%16 == 15 {
+			continue
+		}
+		tcs = append(tcs, TenantConfig{Network: netip.AddrFrom4([4]byte{140, 112, byte(i >> 6), byte(i << 2)}).String() + "/30"})
+	}
+	if err := m.AddTenants(tcs); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// manyTenantTrace is a seeded trace interleaving a few hundred client
+// hosts, put through the reorder, duplicate and clock-regress
+// mutators, with a non-IPv4 packet every 997.
+func manyTenantTrace(t testing.TB, seed uint64) []Packet {
+	t.Helper()
+	pkts := publicTrace(t, 30*time.Second, 0.05, seed)
+	faultinject.Reorder(pkts, 8, seed)
+	pkts = faultinject.Duplicate(pkts, 0.02, seed)
+	faultinject.ClockRegress(pkts, func(p *Packet) *time.Duration { return &p.Timestamp }, 0.03, 3*time.Second, seed)
+	v6 := Packet{Protocol: UDP, SrcAddr: netip.MustParseAddr("2001:db8::1"), DstAddr: netip.MustParseAddr("2001:db8::2"), Size: 90}
+	for i := 997; i < len(pkts); i += 997 {
+		v6.Timestamp = pkts[i].Timestamp
+		pkts[i] = v6
+	}
+	return pkts
+}
+
+// batchSizes cycles through chunk-boundary sizes: a lone packet, one
+// short of a kernel chunk, exactly one, one over, and several.
+var batchSizes = []int{1, 63, 64, 65, 257}
+
+// requireTwinsEqual checks that two managers fed the same packets agree
+// on every tenant's Stats and on the manager's whole Stats —
+// hydrations, evictions, spill bytes, tenantless and unroutable counts.
+func requireTwinsEqual(t *testing.T, got, want *TenantManager) {
+	t.Helper()
+	var sum Stats
+	for _, id := range want.TenantIDs() {
+		g, _ := got.TenantStats(id)
+		w, _ := want.TenantStats(id)
+		if g != w {
+			t.Fatalf("tenant %s stats diverge:\ngot  %+v\nwant %+v", id, g, w)
+		}
+		sum.Dropped += w.Dropped
+		sum.InboundUnmatched += w.InboundUnmatched
+		sum.TimeAnomalies += w.TimeAnomalies
+	}
+	if g, w := got.Stats(), want.Stats(); g != w {
+		t.Fatalf("manager stats diverge:\ngot  %+v\nwant %+v", g, w)
+	}
+	ms := want.Stats()
+	if sum.Dropped == 0 || sum.InboundUnmatched == 0 || sum.TimeAnomalies == 0 {
+		t.Fatalf("trace never exercised P_d draws or clock regressions: %+v", sum)
+	}
+	if ms.NoTenant == 0 || ms.Unroutable == 0 || ms.Hydrations == 0 {
+		t.Fatalf("trace never exercised routing misses or hydration: %+v", ms)
+	}
+}
+
+// TestTenantDifferentialManyTenants: the cross-tenant batch kernel
+// decides exactly what per-packet Process decides, over 120 interleaved
+// subscribers on two shards with both RED ramps engaged, through
+// reordered, duplicated and clock-regressed input, in batches that
+// start and end on every side of a kernel chunk boundary. Every
+// verdict, every tenant's counters, and the manager's hydrations and
+// evictions must agree exactly — with idle eviction between batches,
+// with a hydration cap below the distinct tenants of one chunk, and
+// through a TenantPipeline.
+func TestTenantDifferentialManyTenants(t *testing.T) {
+	cases := []struct {
+		name     string
+		mutate   func(*TenantManagerConfig)
+		evict    bool // EvictIdle(500ms) on both twins after every batch
+		pipeline bool // the batch twin is a TenantPipeline
+	}{
+		{name: "resident"},
+		{name: "evict-between-batches", evict: true},
+		{name: "cap-below-chunk", mutate: func(c *TenantManagerConfig) { c.MaxHydratedPerShard = 4 }},
+		{name: "pipeline", mutate: func(c *TenantManagerConfig) { c.MaxHydratedPerShard = 8 }, pipeline: true},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pkts := manyTenantTrace(t, 40+uint64(i))
+			batched := manyTenantManager(t, tc.mutate)
+			single := manyTenantManager(t, tc.mutate)
+			var tp *TenantPipeline
+			if tc.pipeline {
+				tp = NewTenantPipeline(batched, TenantPipelineConfig{RingSize: 128, BatchSize: 48})
+			}
+			var aggPd float64
+			var wantPass, wantDrop int64
+			dst := make([]Decision, 0, 257)
+			for lo, b := 0, 0; lo < len(pkts); b++ {
+				hi := min(lo+batchSizes[b%len(batchSizes)], len(pkts))
+				batch := pkts[lo:hi]
+				if tp != nil {
+					tp.SubmitBatch(batch)
+				} else {
+					dst = batched.ProcessBatch(batch, dst[:0])
+				}
+				for j := range batch {
+					want := single.Process(batch[j])
+					if want == Pass {
+						wantPass++
+					} else {
+						wantDrop++
+					}
+					if tp == nil && dst[j] != want {
+						t.Fatalf("packet %d (batch of %d): batch kernel says %v, Process says %v", lo+j, len(batch), dst[j], want)
+					}
+				}
+				if tc.evict {
+					if got, want := batched.EvictIdle(500*time.Millisecond), single.EvictIdle(500*time.Millisecond); got != want {
+						t.Fatalf("batch %d: EvictIdle evicted %d, twin %d", b, got, want)
+					}
+				}
+				for _, sh := range single.shards {
+					aggPd = max(aggPd, math.Float64frombits(sh.agg.pdBits.Load()))
+				}
+				lo = hi
+			}
+			if tp != nil {
+				tp.Drain()
+				tp.Close()
+				if pass, drop := tp.Verdicts(); pass != wantPass || drop != wantDrop {
+					t.Fatalf("pipeline verdicts %d pass %d drop, Process %d pass %d drop", pass, drop, wantPass, wantDrop)
+				}
+			}
+			if aggPd == 0 {
+				t.Fatal("the aggregate budget never raised P_d")
+			}
+			if ev := single.Stats().Evictions; (ev == 0) != (tc.name == "resident") {
+				t.Fatalf("%d evictions", ev)
+			}
+			requireTwinsEqual(t, batched, single)
+		})
+	}
+}
+
+// TestTenantSpillIdentity: a tenant's snapshot bytes do not depend on
+// whether it was spilled — the embedded v2 bitmap is rendered from raw
+// words either way — and a manager restored from a snapshot, then fed
+// more packets, saves exactly what the manager it came from saves.
+func TestTenantSpillIdentity(t *testing.T) {
+	pkts := manyTenantTrace(t, 50)
+	half := len(pkts) / 2
+	save := func(m *TenantManager) []byte {
+		t.Helper()
+		var b bytes.Buffer
+		if err := m.SaveTenantState(&b); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+
+	live := manyTenantManager(t, nil)
+	spilled := manyTenantManager(t, nil)
+	live.ProcessBatch(pkts[:half], nil)
+	spilled.ProcessBatch(pkts[:half], nil)
+	live.EvictIdle(2 * time.Second) // a mix of hydrated and spilled tenants
+	spilled.EvictIdle(2 * time.Second)
+	if n := spilled.EvictIdle(0); n == 0 {
+		t.Fatal("nothing left hydrated to spill")
+	}
+	snap := save(live)
+	if !bytes.Equal(snap, save(spilled)) {
+		t.Fatal("spilling every tenant changed the snapshot bytes")
+	}
+	if s := live.Stats(); s.Hydrated == 0 || s.SpillBytes == 0 {
+		t.Fatalf("snapshot did not cover both hydrated and spilled marked tenants: %+v", s)
+	}
+
+	restored := manyTenantManager(t, nil)
+	if err := restored.RestoreTenantState(bytes.NewReader(snap)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(snap, save(restored)) {
+		t.Fatal("restore changed the snapshot bytes")
+	}
+	// Outbound packets only, stamped after every restored clock: a
+	// restored limiter starts with an empty meter, so an unmatched
+	// inbound packet could draw P_d on one side and not the other.
+	var next []Packet
+	last := pkts[half-1].Timestamp + time.Millisecond
+	for _, p := range pkts[half:] {
+		if p.SrcAddr.Is4() && netip.MustParsePrefix(testNet).Contains(p.SrcAddr) {
+			p.Timestamp = last
+			last += time.Millisecond
+			next = append(next, p)
+		}
+	}
+	a := live.ProcessBatch(next, nil)
+	b := restored.ProcessBatch(next, nil)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("packet %d: restored manager says %v, original %v", i, b[i], a[i])
+		}
+	}
+	if !bytes.Equal(save(live), save(restored)) {
+		t.Fatal("restored manager diverged from the original after more packets")
+	}
 }

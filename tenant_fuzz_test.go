@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 )
@@ -174,6 +175,33 @@ func TestTenantFuzzSeedsDecode(t *testing.T) {
 			if err == nil {
 				t.Errorf("%s: corrupt seed accepted", name)
 			}
+		}
+	}
+}
+
+// TestTenantFuzzCorpusCurrent pins the BMTM bytes themselves: the
+// valid seeds checked in under testdata/fuzz/FuzzTenantSnapshot equal
+// what the code saves today for the same manager, so a change to how
+// tenant state is kept in process cannot change the format on disk
+// unnoticed.
+func TestTenantFuzzCorpusCurrent(t *testing.T) {
+	seeds := fuzzTenantSeeds(t)
+	for _, name := range []string{"valid", "valid-cold"} {
+		body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzTenantSnapshot", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const head, tail = "go test fuzz v1\n[]byte(", ")\n"
+		quoted, ok := strings.CutPrefix(string(body), head)
+		if !ok {
+			t.Fatalf("%s: not a one-value corpus file", name)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(quoted, tail))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal([]byte(data), seeds[name]) {
+			t.Errorf("%s: saved bytes differ from the checked-in corpus", name)
 		}
 	}
 }

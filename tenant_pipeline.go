@@ -73,7 +73,8 @@ func (p *TenantPipeline) routeChunk(pkts []Packet, shards []int) {
 //
 //p2p:confined tenantshard entry
 func (p *TenantPipeline) decide(sh int, batch []Packet, dst []Decision) []Decision {
-	return p.m.processBatch(p.m.shards[sh], batch, dst)
+	s := p.m.shards[sh]
+	return p.m.processBatch(s.kern, s, batch, dst)
 }
 
 // idle spills shard sh's tenants idle for at least EvictAfter whenever

@@ -17,11 +17,13 @@ import (
 // Limiter SaveState stream. One frame per registered tenant carries the
 // subscriber's identity, its suspended rotation/clamp/rng state, and —
 // only for tenants whose filters still hold marks — an embedded v2 core
-// snapshot; everything is covered by a CRC32C trailer. Decoding is
-// staged: the entire stream is validated (structure, checksum, tenant
-// identity, embedded-filter geometry, rng encoding) before any tenant
-// is touched, so a restore either applies completely or leaves the
-// manager exactly as it was.
+// snapshot; everything is covered by a CRC32C trailer. In process a
+// tenant's filter is live or spilled as raw words; the v2 form exists
+// only in these frames, rendered at save and parsed back to raw words
+// at restore. Decoding is staged: the entire stream is validated
+// (structure, checksum, tenant identity, embedded-filter geometry, rng
+// encoding) before any tenant is touched, so a restore either applies
+// completely or leaves the manager exactly as it was.
 //
 // Like the core format, tenant counters are NOT persisted: a restore
 // folds each tenant's live counters into its limiter base, so Stats
@@ -99,8 +101,9 @@ func (m *TenantManager) SaveTenantState(w io.Writer) error {
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(m.cfg.PrefixBits))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(len(m.tenants)))
 	buf.Write(hdr[:])
+	var sc saveScratch
 	for _, t := range m.tenants {
-		fr, err := snapshotTenantFrame(t)
+		fr, err := m.snapshotTenantFrame(t, &sc)
 		if err != nil {
 			return fmt.Errorf("p2pbound: save tenant state: tenant %q: %w", t.id, err)
 		}
@@ -118,13 +121,24 @@ func (m *TenantManager) SaveTenantState(w io.Writer) error {
 
 var tenantCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// saveScratch is reused across the frames of one save: the words of a
+// hydrated filter and the rendered v2 bitmap, which appendTenantFrame
+// copies out before the next frame.
+type saveScratch struct {
+	words  []uint64
+	bitmap []byte
+}
+
 // snapshotTenantFrame captures one tenant's suspended state into a
 // frame, reading live filter state for hydrated tenants and the spilled
-// record otherwise.
+// record otherwise. Both render the embedded v2 bitmap from raw words,
+// so a tenant saves the same bytes whether or not it was evicted first.
 //
 //p2p:confined tenantshard
-func snapshotTenantFrame(t *tenant) (tenantFrame, error) {
+func (m *TenantManager) snapshotTenantFrame(t *tenant, sc *saveScratch) (tenantFrame, error) {
 	fr := tenantFrame{id: t.id, prefix: uint32(t.net.Prefix)}
+	cfg := m.coreCfg
+	var words []uint64
 	switch {
 	case t.hydrated:
 		f := t.lim.filter.Load()
@@ -136,22 +150,22 @@ func snapshotTenantFrame(t *tenant) (tenantFrame, error) {
 		}
 		fr.rng = b
 		if !f.Empty() {
-			var fb bytes.Buffer
-			fb.Grow(f.Bytes() + 512)
-			if _, err := f.WriteTo(&fb); err != nil {
-				return fr, err
+			if len(sc.words) != f.Words() {
+				sc.words = make([]uint64, f.Words())
 			}
-			fr.flags |= tenantFlagBitmap
-			fr.bitmap = fb.Bytes()
+			f.SpillWords(sc.words)
+			words, cfg = sc.words, f.Config()
 		}
 	case t.spilled:
 		fr.flags = tenantFlagState
 		fr.rot = t.rot
-		fr.rng = t.rngState
-		if t.spillBitmap != nil {
-			fr.flags |= tenantFlagBitmap
-			fr.bitmap = t.spillBitmap
-		}
+		fr.rng = t.rng
+		words, cfg.Seed = t.words, t.wordsSeed
+	}
+	if words != nil {
+		sc.bitmap = core.AppendSnapshot(sc.bitmap[:0], cfg, fr.rot, words)
+		fr.flags |= tenantFlagBitmap
+		fr.bitmap = sc.bitmap
 	}
 	return fr, nil
 }
@@ -198,9 +212,9 @@ func appendTenantFrame(buf *bytes.Buffer, fr *tenantFrame) {
 // geometry — and a failure on any frame rejects the entire snapshot,
 // leaving the manager untouched (the property FuzzTenantSnapshot pins).
 // On success each named tenant is moved to the spilled state carrying
-// the snapshot's filter, to be rehydrated verdict-exactly by its next
-// packet; currently hydrated filters are folded (counters stay
-// monotone) and their vectors recycled. Registered tenants absent from
+// the snapshot's filter as raw words, to be rehydrated verdict-exactly
+// by its next packet; currently hydrated filters are folded (counters
+// stay monotone) and their shells pooled. Registered tenants absent from
 // the snapshot are left as they are. Control-plane call, like
 // SaveTenantState.
 //
@@ -219,11 +233,13 @@ func (m *TenantManager) RestoreTenantState(r io.Reader) error {
 			ErrGeometryMismatch, prefixBits, m.cfg.PrefixBits)
 	}
 	// Stage 2a: structural validation that needs no tenant identity —
-	// rotation bounds, rng encoding, embedded filter geometry. This is
-	// the expensive part (ReadFilter re-parses every embedded bitmap),
-	// and it depends only on m.coreCfg, which is immutable after
-	// construction, so it runs before the manager lock is taken: the
-	// p2pvet lockhold analyzer proves no I/O happens under m.mu.
+	// rotation bounds, rng encoding, embedded filter geometry — and the
+	// raw words of every embedded filter. This is the expensive part
+	// (ReadFilter re-parses every embedded bitmap), and it depends only
+	// on m.coreCfg, which is immutable after construction, so it runs
+	// before the manager lock is taken: the p2pvet lockhold analyzer
+	// proves no I/O happens under m.mu.
+	spills := make([]restoredSpill, len(frames))
 	for i := range frames {
 		fr := &frames[i]
 		if fr.flags&tenantFlagState != 0 {
@@ -242,6 +258,9 @@ func (m *TenantManager) RestoreTenantState(r io.Reader) error {
 			if err := geometryMismatch(m.coreCfg, f.Config()); err != nil {
 				return fmt.Errorf("p2pbound: restore tenant state: tenant %q: %w", fr.id, err)
 			}
+			spills[i].words = make([]uint64, f.Words())
+			f.SpillWords(spills[i].words)
+			spills[i].seed = f.Config().Seed
 		}
 	}
 	m.mu.Lock()
@@ -262,45 +281,55 @@ func (m *TenantManager) RestoreTenantState(r io.Reader) error {
 	for i := range frames {
 		fr := &frames[i]
 		t := m.byID[fr.id]
-		m.applyTenantFrame(t, fr)
+		m.applyTenantFrame(t, fr, &spills[i])
 	}
 	return nil
+}
+
+// restoredSpill is a validated frame's embedded filter in raw form: the
+// words of its vectors (nil without a bitmap) and the seed its header
+// records.
+type restoredSpill struct {
+	words []uint64
+	seed  uint64
 }
 
 // applyTenantFrame moves one validated frame into its tenant: the
 // current filter (hydrated or spilled) is discarded in favour of the
 // snapshot's, counters folding into the limiter base on the way out.
+// The restored words join the shard's spill pool once the tenant
+// rehydrates.
 //
 //p2p:confined tenantshard
-func (m *TenantManager) applyTenantFrame(t *tenant, fr *tenantFrame) {
+func (m *TenantManager) applyTenantFrame(t *tenant, fr *tenantFrame, sp *restoredSpill) {
 	sh := t.sh
 	if t.hydrated {
 		f := t.lim.filter.Load()
 		t.lim.swapFilter(nil)
-		if err := f.ReleaseVectors(sh.arena); err != nil {
-			panic("p2pbound: restore tenant state: " + err.Error())
-		}
+		sh.shells = append(sh.shells, f)
 		sh.lruRemove(t)
 		t.hydrated = false
 		sh.hydrated.Add(-1)
 		sh.evictions.Add(1)
 	}
-	if t.spillBitmap != nil {
-		sh.spillBytes.Add(-int64(len(t.spillBitmap)))
-		t.spillBitmap = nil
+	if t.words != nil {
+		sh.spill.put(t.words)
+		sh.spillBytes.Add(-8 * int64(len(t.words)))
+		t.words = nil
 	}
 	if fr.flags&tenantFlagState != 0 {
 		t.spilled = true
 		t.rot = fr.rot
-		t.rngState = fr.rng
+		t.rng = append(t.rng[:0], fr.rng...)
 	} else {
 		t.spilled = false
 		t.rot = core.RotationState{}
-		t.rngState = nil
+		t.rng = nil
 	}
-	if fr.flags&tenantFlagBitmap != 0 {
-		t.spillBitmap = fr.bitmap
-		sh.spillBytes.Add(int64(len(fr.bitmap)))
+	if sp.words != nil {
+		t.words = sp.words
+		t.wordsSeed = sp.seed
+		sh.spillBytes.Add(8 * int64(len(sp.words)))
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"net/netip"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -420,7 +421,8 @@ func TestTenantSnapshotErrors(t *testing.T) {
 
 // TestTenantPipelineMatchesDirect: the pipeline decides exactly what
 // direct manager calls decide — per-shard single-writer order makes the
-// verdict totals deterministic for a single producer.
+// verdict totals and every tenant's counters deterministic for a single
+// producer.
 func TestTenantPipelineMatchesDirect(t *testing.T) {
 	pkts := make([]Packet, 0, 4096)
 	for i := 0; i < 1024; i++ {
@@ -429,6 +431,9 @@ func TestTenantPipelineMatchesDirect(t *testing.T) {
 		pkts = append(pkts, tenantOutbound(ten, i/8, ts), tenantInbound(ten, i/8, ts+time.Millisecond))
 		if i%64 == 0 {
 			pkts = append(pkts, tenantOutbound(200, 0, ts)) // no such tenant
+		}
+		if i%16 == 0 {
+			pkts = append(pkts, tenantInbound(i/16%8, i+5000, ts)) // unmatched
 		}
 	}
 
@@ -452,8 +457,18 @@ func TestTenantPipelineMatchesDirect(t *testing.T) {
 	if pPass != dPass || pDrop != dDrop {
 		t.Fatalf("pipeline verdicts (%d pass, %d drop) != direct (%d pass, %d drop)", pPass, pDrop, dPass, dDrop)
 	}
-	if ds, ps := direct.Stats(), piped.Stats(); ds.NoTenant != ps.NoTenant {
-		t.Fatalf("no-tenant counts diverge: %d != %d", ds.NoTenant, ps.NoTenant)
+	if ds, ps := direct.Stats(), piped.Stats(); ds != ps {
+		t.Fatalf("manager stats diverge:\ndirect   %+v\npipeline %+v", ds, ps)
+	}
+	for _, id := range direct.TenantIDs() {
+		ds, _ := direct.TenantStats(id)
+		ps, _ := piped.TenantStats(id)
+		if ds != ps {
+			t.Fatalf("tenant %s stats diverge:\ndirect   %+v\npipeline %+v", id, ds, ps)
+		}
+		if ds.OutboundPackets == 0 || ds.InboundUnmatched == 0 {
+			t.Fatalf("tenant %s saw too little traffic: %+v", id, ds)
+		}
 	}
 }
 
@@ -545,6 +560,39 @@ func TestTenantProcessZeroAlloc(t *testing.T) {
 		dst = m.ProcessBatch(batch, dst[:0])
 	}); avg != 0 {
 		t.Fatalf("ProcessBatch allocates %.1f/op", avg)
+	}
+}
+
+// TestTenantHydrationCycleAllocs guards the spill path against
+// per-spill buffers: once a shard's shell and spill pools are warm,
+// evicting a marked tenant and rehydrating it on its next packet
+// allocates nothing proportional to its filter — under 1 KiB a cycle.
+func TestTenantHydrationCycleAllocs(t *testing.T) {
+	m := newTestManager(t, 1, func(c *TenantManagerConfig) { c.Tenant.VectorBits = 14 })
+	out := tenantOutbound(0, 1, 0)
+	m.Process(out)
+	cycle := func() {
+		m.EvictIdle(0)
+		m.Process(out)
+	}
+	cycle() // warm the pools
+	m.EvictIdle(0)
+	if s := m.Stats(); s.SpillBytes != 4<<14/8 {
+		t.Fatalf("marked tenant spilled %d bytes, want its 4×2^14 bits", s.SpillBytes)
+	}
+	m.Process(out)
+	const cycles = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 1024 {
+		t.Fatalf("evict and rehydrate allocate %d B a cycle, want under 1 KiB", per)
+	}
+	if s := m.Stats(); s.Hydrations != cycles+3 || s.HydrateFallbacks != 0 {
+		t.Fatalf("stats after the cycles: %+v", s)
 	}
 }
 
