@@ -49,5 +49,5 @@ bench:
 # benchmarks still run and the JSON pipeline still parses, without
 # pretending a shared runner produces meaningful timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
+	$(GO) test -run '^$$' -bench 'BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadProbe|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
 	rm -f BENCH_smoke.json

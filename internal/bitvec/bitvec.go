@@ -148,7 +148,7 @@ func (v *Vector) markDirty(w uint) {
 
 // SetAligned marks every bit in idx, which the caller guarantees all
 // fall in one 512-bit cache line of the vector (the blocked-layout
-// contract: indexes derived by hashes.AppendBlocked). Because one line
+// contract: indexes derived by hashes.Family.BlockedInto). Because one line
 // never straddles a clear block — both are power-of-two sized and
 // aligned — the stale-epoch check and any deferred-clear freshening are
 // paid once for the whole group instead of once per bit, and the ones

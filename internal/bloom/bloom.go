@@ -20,62 +20,30 @@ import (
 type Filter struct {
 	vec    *bitvec.Vector
 	family *hashes.Family
-	scheme hashes.Scheme
-	layout hashes.Layout
 	sums   []uint32
 	adds   int
 }
 
-// New builds a Bloom filter with 2^nbits bits and m hash functions of the
-// given kind, in the classic per-index scheme and scattered layout.
-func New(kind hashes.Kind, m int, nbits uint) (*Filter, error) {
-	return NewWithOptions(kind, hashes.SchemePerIndex, hashes.LayoutClassic, m, nbits)
-}
-
-// NewWithOptions builds a Bloom filter with an explicit index-derivation
-// scheme and bit layout. Zero values select the classic defaults; the
-// blocked layout requires (and implies, when the scheme is unset) the
-// one-shot scheme, because the block choice consumes the high bits of
-// the 64-bit one-shot hash.
-func NewWithOptions(kind hashes.Kind, scheme hashes.Scheme, layout hashes.Layout, m int, nbits uint) (*Filter, error) {
-	scheme, layout, err := hashes.ResolveSchemeLayout(scheme, layout)
-	if err != nil {
-		return nil, fmt.Errorf("bloom: %w", err)
-	}
-	family, err := hashes.NewFamily(kind, m, nbits)
+// New builds a Bloom filter with 2^nbits bits and m hash functions of
+// the library's one construction (hashes.Family.SumInto), in the
+// classic scattered layout.
+func New(m int, nbits uint) (*Filter, error) {
+	family, err := hashes.NewFamily(m, nbits)
 	if err != nil {
 		return nil, fmt.Errorf("bloom: %w", err)
 	}
 	return &Filter{
 		vec:    bitvec.New(1 << nbits),
 		family: family,
-		scheme: scheme,
-		layout: layout,
-		sums:   make([]uint32, 0, m),
+		sums:   make([]uint32, m),
 	}, nil
-}
-
-// sum derives the key's m indexes per the configured scheme and layout.
-func (f *Filter) sum(key []byte) {
-	switch {
-	case f.layout == hashes.LayoutBlocked:
-		f.sums = f.family.AppendBlocked(f.sums[:0], f.family.Sum64(key))
-	case f.scheme == hashes.SchemeOneShot:
-		f.sums = f.family.AppendDerived(f.sums[:0], f.family.Sum64(key))
-	default:
-		f.sums = f.family.Sum(f.sums[:0], key)
-	}
 }
 
 // Add inserts key into the filter.
 func (f *Filter) Add(key []byte) {
-	f.sum(key)
-	if f.layout == hashes.LayoutBlocked {
-		f.vec.SetAligned(f.sums)
-	} else {
-		for _, h := range f.sums {
-			f.vec.Set(h)
-		}
+	f.family.SumInto(f.sums, key)
+	for _, h := range f.sums {
+		f.vec.Set(h)
 	}
 	f.adds++
 }
@@ -83,10 +51,7 @@ func (f *Filter) Add(key []byte) {
 // Test reports whether key may have been added. False positives are
 // possible; false negatives are not.
 func (f *Filter) Test(key []byte) bool {
-	f.sum(key)
-	if f.layout == hashes.LayoutBlocked {
-		return f.vec.GetAligned(f.sums)
-	}
+	f.family.SumInto(f.sums, key)
 	for _, h := range f.sums {
 		if !f.vec.Get(h) {
 			return false
@@ -145,34 +110,4 @@ func CapacityBound(p float64, nbits uint) int {
 		return 0
 	}
 	return int(-float64(int(1)<<nbits) / (math.E * math.Log(p)))
-}
-
-// UnionFrom ORs another filter's bits into this one, the single-filter
-// analogue of the fleet's delta merge: Test(key) is true afterwards for
-// every key either filter held, and no key is lost — union can add
-// false positives, never false negatives. Both filters must share
-// geometry (bit count, hash count, scheme, layout), since the same bit
-// must mean the same key material on both sides. It walks the source in
-// the 512-bit delta blocks of internal/bitvec and merges only nonzero
-// ones, so a sparse source costs its dirty blocks, not its size. After
-// a union, Adds is the sum of both sides — an upper bound, since shared
-// keys are counted twice; the analytical helpers treat c as a worst
-// case anyway.
-func (f *Filter) UnionFrom(src *Filter) error {
-	if f.Bits() != src.Bits() || f.M() != src.M() ||
-		f.scheme != src.scheme || f.layout != src.layout {
-		return fmt.Errorf("bloom: union geometry mismatch: %d/%d bits, m %d/%d, scheme %v/%v, layout %v/%v",
-			f.Bits(), src.Bits(), f.M(), src.M(), f.scheme, src.scheme, f.layout, src.layout)
-	}
-	err := src.vec.DiffBlocks(nil, func(blk uint32, xor *[bitvec.DeltaBlockWords]uint64) {
-		if _, mergeErr := f.vec.MergeBlock(blk, xor); mergeErr != nil {
-			// Unreachable: blk came from an equal-geometry walk.
-			panic(mergeErr)
-		}
-	})
-	if err != nil {
-		return fmt.Errorf("bloom: union: %w", err)
-	}
-	f.adds += src.adds
-	return nil
 }

@@ -5,18 +5,16 @@ import (
 	"strconv"
 	"testing"
 	"testing/quick"
-
-	"p2pbound/internal/hashes"
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(hashes.FNVDouble, 0, 10); err == nil {
+	if _, err := New(0, 10); err == nil {
 		t.Fatal("m=0 accepted")
 	}
-	if _, err := New(hashes.Kind(77), 3, 10); err == nil {
-		t.Fatal("bad kind accepted")
+	if _, err := New(3, 33); err == nil {
+		t.Fatal("nbits=33 accepted")
 	}
-	f, err := New(hashes.FNVDouble, 3, 10)
+	f, err := New(3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +25,7 @@ func TestNewValidation(t *testing.T) {
 
 // TestNoFalseNegatives property: every added key tests positive.
 func TestNoFalseNegatives(t *testing.T) {
-	f, err := New(hashes.FNVDouble, 3, 12)
+	f, err := New(3, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +47,7 @@ func TestNoFalseNegatives(t *testing.T) {
 }
 
 func TestClearAndAdds(t *testing.T) {
-	f, err := New(hashes.Mix, 2, 10)
+	f, err := New(2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func TestClearAndAdds(t *testing.T) {
 // TestMeasuredFPPMatchesEquation2 fills the filter and compares the
 // measured false-positive rate against p = U^m (Equation 2).
 func TestMeasuredFPPMatchesEquation2(t *testing.T) {
-	f, err := New(hashes.FNVDouble, 3, 14) // 16384 bits
+	f, err := New(3, 14) // 16384 bits
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +98,7 @@ func TestMeasuredFPPMatchesEquation2(t *testing.T) {
 // TestPenetrationApproximation: Equation 3 approximates Equation 2 at low
 // utilization.
 func TestPenetrationApproximation(t *testing.T) {
-	f, err := New(hashes.FNVDouble, 3, 20)
+	f, err := New(3, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,56 +173,5 @@ func TestCapacityBoundConsistency(t *testing.T) {
 func TestCapacityBoundEdges(t *testing.T) {
 	if CapacityBound(0, 20) != 0 || CapacityBound(1, 20) != 0 || CapacityBound(-1, 20) != 0 {
 		t.Fatal("degenerate p must yield zero capacity")
-	}
-}
-
-func TestUnionFrom(t *testing.T) {
-	newF := func() *Filter {
-		f, err := New(hashes.FNVDouble, 3, 12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	a, b := newF(), newF()
-	for i := 0; i < 100; i++ {
-		a.Add([]byte{byte(i), 'a'})
-		b.Add([]byte{byte(i), 'b'})
-	}
-	if err := a.UnionFrom(b); err != nil {
-		t.Fatal(err)
-	}
-	// No false negatives: every key of either side tests true.
-	for i := 0; i < 100; i++ {
-		if !a.Test([]byte{byte(i), 'a'}) || !a.Test([]byte{byte(i), 'b'}) {
-			t.Fatalf("union lost key %d", i)
-		}
-	}
-	if a.Adds() != 200 {
-		t.Fatalf("union adds = %d, want 200", a.Adds())
-	}
-	// Union equals adding both key sets directly.
-	direct := newF()
-	for i := 0; i < 100; i++ {
-		direct.Add([]byte{byte(i), 'a'})
-		direct.Add([]byte{byte(i), 'b'})
-	}
-	if direct.Utilization() != a.Utilization() {
-		t.Fatalf("union utilization %v != direct %v", a.Utilization(), direct.Utilization())
-	}
-	// Geometry mismatches are rejected.
-	small, err := New(hashes.FNVDouble, 3, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.UnionFrom(small); err == nil {
-		t.Fatal("bit-count mismatch accepted")
-	}
-	m2, err := New(hashes.FNVDouble, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.UnionFrom(m2); err == nil {
-		t.Fatal("hash-count mismatch accepted")
 	}
 }

@@ -16,8 +16,9 @@ var (
 	// does not read.
 	ErrSnapshotVersion = errors.New("core: unsupported snapshot version")
 	// ErrSnapshotGeometry: the header's geometry exceeds the
-	// allocation caps (k, m, or total vector bytes) — corrupt or
-	// hostile, rejected before any allocation.
+	// allocation caps (k, m, or total vector bytes), or names a hash
+	// construction this build does not have — corrupt or hostile,
+	// rejected before any allocation.
 	ErrSnapshotGeometry = errors.New("core: implausible snapshot geometry")
 	// ErrSnapshotCorrupt: the structure is internally inconsistent — a
 	// configuration New rejects, or a rotation index outside [0, k).

@@ -22,6 +22,7 @@ func TestSnapshotRejectionTypes(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) { b[0] ^= 0xff }, ErrSnapshotMagic},
 		{"future version", func(b []byte) { binary.LittleEndian.PutUint32(b[4:], 99) }, ErrSnapshotVersion},
+		{"unknown hash construction", func(b []byte) { binary.LittleEndian.PutUint32(b[28:], 2) }, ErrSnapshotGeometry},
 		{"k over cap", func(b []byte) { binary.LittleEndian.PutUint32(b[8:], 1<<20) }, ErrSnapshotGeometry},
 		{"m over cap", func(b []byte) { binary.LittleEndian.PutUint32(b[16:], 1<<20) }, ErrSnapshotGeometry},
 		{"bytes over cap", func(b []byte) {

@@ -20,7 +20,6 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
-	"unsafe"
 
 	"p2pbound/internal/bitvec"
 	"p2pbound/internal/errfmt"
@@ -64,8 +63,6 @@ type Config struct {
 	M int
 	// DeltaT is the rotation period Δt.
 	DeltaT time.Duration
-	// HashKind selects the hash construction; zero value means FNVDouble.
-	HashKind hashes.Kind
 	// HashScheme selects how the m indexes are derived per key: the
 	// per-index family (zero value) or the one-shot 64-bit hash expanded
 	// arithmetically (hashes.SchemeOneShot — one key traversal per
@@ -92,6 +89,21 @@ type Config struct {
 	//
 	//p2p:codecskip operational knob, not filter identity — deliberately not persisted
 	ReorderTolerance time.Duration
+}
+
+// Resolve returns c with a zero HashScheme and Layout replaced by the
+// defaults they stand for (hashes.ResolveSchemeLayout), or c unchanged
+// and an error when the combination is unknown or invalid. Filters,
+// indexers, snapshots, offload maps and fleet fingerprints all record
+// and compare resolved configurations, so a zero default and its
+// explicit value always mean the same geometry.
+func (c Config) Resolve() (Config, error) {
+	scheme, layout, err := hashes.ResolveSchemeLayout(c.HashScheme, c.Layout)
+	if err != nil {
+		return c, errfmt.Wrap("core", err)
+	}
+	c.HashScheme, c.Layout = scheme, layout
+	return c, nil
 }
 
 // DefaultConfig returns the paper's Section 5.3 configuration.
@@ -217,19 +229,14 @@ func newFilter(cfg Config, alloc VectorAllocator) (*Filter, error) {
 	if cfg.DeltaT <= 0 {
 		return nil, errors.New("core: DeltaT must be positive, got " + cfg.DeltaT.String())
 	}
-	kind := cfg.HashKind
-	if kind == 0 {
-		kind = hashes.FNVDouble
-	}
-	scheme, layout, err := hashes.ResolveSchemeLayout(cfg.HashScheme, cfg.Layout)
+	// Keep the resolved values so Config() — and therefore snapshot
+	// round-trips and geometry comparisons — never sees the ambiguous
+	// zero defaults.
+	cfg, err := cfg.Resolve()
 	if err != nil {
-		return nil, errfmt.Wrap("core", err)
+		return nil, err
 	}
-	// Store the resolved values back so Config() — and therefore
-	// snapshot round-trips and geometry comparisons — never see the
-	// ambiguous zero defaults.
-	cfg.HashScheme, cfg.Layout = scheme, layout
-	ix, err := newIndexer(kind, cfg.M, cfg.NBits, scheme, layout, cfg.HolePunch)
+	ix, err := newIndexer(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +253,7 @@ func newFilter(cfg Config, alloc VectorAllocator) (*Filter, error) {
 		cfg:      cfg,
 		vectors:  vectors,
 		ix:       ix,
-		layout:   layout,
+		layout:   cfg.Layout,
 		pcg:      pcg,
 		rng:      rand.New(pcg),
 		sums:     make([]uint32, cfg.M),
@@ -511,7 +518,7 @@ func (f *Filter) Process(pkt *packet.Packet, pd float64) Verdict {
 //
 //p2p:hotpath
 func (f *Filter) Sums(pkt *packet.Packet) []uint32 {
-	f.ix.Derive(f.sums, unsafe.Slice(pkt, 1))
+	f.ix.Into(f.sums, pkt.Pair, pkt.Dir)
 	return f.sums
 }
 
@@ -594,8 +601,8 @@ func (f *Filter) FlushStats() {
 //
 //p2p:hotpath
 func (f *Filter) Mark(pair packet.SocketPair) {
-	pkt := packet.Packet{Pair: pair, Dir: packet.Outbound}
-	f.markSums(f.Sums(&pkt))
+	f.ix.Into(f.sums, pair, packet.Outbound)
+	f.markSums(f.sums)
 }
 
 // markSums sets the derived indexes in all k bit vectors. In the
@@ -623,13 +630,12 @@ func (f *Filter) markSums(sums []uint32) {
 //
 //p2p:hotpath
 func (f *Filter) Contains(inboundPair packet.SocketPair) bool {
-	pkt := packet.Packet{Pair: inboundPair, Dir: packet.Inbound}
-	sums := f.Sums(&pkt)
+	f.ix.Into(f.sums, inboundPair, packet.Inbound)
 	cur := f.vectors[f.idx]
 	if f.layout == hashes.LayoutBlocked {
-		return cur.GetAligned(sums)
+		return cur.GetAligned(f.sums)
 	}
-	for _, h := range sums {
+	for _, h := range f.sums {
 		if !cur.Get(h) {
 			return false
 		}

@@ -43,7 +43,8 @@ func TestNewValidation(t *testing.T) {
 		{"huge NBits", func(c *Config) { c.NBits = 33 }, false},
 		{"zero M", func(c *Config) { c.M = 0 }, false},
 		{"zero DeltaT", func(c *Config) { c.DeltaT = 0 }, false},
-		{"bad hash kind", func(c *Config) { c.HashKind = 99 }, false},
+		{"bad hash scheme", func(c *Config) { c.HashScheme = 99 }, false},
+		{"blocked per-index", func(c *Config) { c.HashScheme, c.Layout = hashes.SchemePerIndex, hashes.LayoutBlocked }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -271,11 +272,11 @@ func TestHolePunchAdmitsShiftedPort(t *testing.T) {
 }
 
 // TestNoFalseNegativesWithinWindow property: any marked pair is admitted
-// while within the retention window, for every hash kind.
+// while within the retention window, for every index derivation.
 func TestNoFalseNegativesWithinWindow(t *testing.T) {
-	for _, kind := range []int{1, 2, 3} {
+	for _, layout := range []hashes.Layout{hashes.LayoutClassic, hashes.LayoutBlocked} {
 		cfg := testConfig()
-		cfg.HashKind = hashes.Kind(kind)
+		cfg.Layout = layout
 		f, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -286,7 +287,7 @@ func TestNoFalseNegativesWithinWindow(t *testing.T) {
 			return f.Contains(pair.Inverse())
 		}
 		if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-			t.Fatalf("kind %d: %v", kind, err)
+			t.Fatalf("%v layout: %v", layout, err)
 		}
 	}
 }

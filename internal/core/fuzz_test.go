@@ -13,7 +13,8 @@ import (
 // must survive subsequent operation. Run with
 // `go test -fuzz FuzzReadFilter ./internal/core`.
 func FuzzReadFilter(f *testing.F) {
-	// Seeds: a valid v2 snapshot, a valid v1 snapshot, and mutations.
+	// Seeds: a valid snapshot, the retired version-1 form of the same
+	// filter (which must now be rejected), and mutations.
 	src, err := New(Config{K: 2, NBits: 10, M: 2, DeltaT: time.Second, Seed: 11})
 	if err != nil {
 		f.Fatal(err)
@@ -26,12 +27,8 @@ func FuzzReadFilter(f *testing.F) {
 	if _, err := src.WriteTo(&v2); err != nil {
 		f.Fatal(err)
 	}
-	var v1 bytes.Buffer
-	if _, err := src.writeToV1(&v1); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(v2.Bytes())
-	f.Add(v1.Bytes())
+	f.Add(v1Snapshot(f, src, v2.Bytes()))
 	f.Add(v2.Bytes()[:40])
 	f.Add(v2.Bytes()[:80])
 	flipped := append([]byte(nil), v2.Bytes()...)

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"strings"
 	"testing"
 	"time"
@@ -56,22 +58,56 @@ func TestSnapshotV2TruncationRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotV1StillReadable: the legacy unchecksummed stream loads and
-// agrees with the source filter.
-func TestSnapshotV1StillReadable(t *testing.T) {
-	f, _ := smallSnapshot(t)
-	var v1 bytes.Buffer
-	if _, err := f.writeToV1(&v1); err != nil {
-		t.Fatal(err)
+// v1Snapshot renders f as a version-1 stream: the v2 header with
+// version 1, then the bare vectors, with no frames and no checksum.
+func v1Snapshot(t testing.TB, f *Filter, v2 []byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(v2[:snapshotHeaderLen])
+	binary.LittleEndian.PutUint32(buf.Bytes()[4:], 1)
+	for i := 0; i < f.VectorCount(); i++ {
+		if _, err := f.Vector(i).WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
 	}
-	restored, err := ReadFilter(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
+	return buf.Bytes()
+}
+
+// TestSnapshotV1Rejected: the unchecksummed version-1 stream is no
+// longer read. A reader names the version, so a caller cold-starts.
+func TestSnapshotV1Rejected(t *testing.T) {
+	f, snap := smallSnapshot(t)
+	_, err := ReadFilter(bytes.NewReader(v1Snapshot(t, f, snap)))
+	if !errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("v1 snapshot: err=%v, want %v", err, ErrSnapshotVersion)
 	}
-	for i := uint32(0); i < 400; i++ {
-		pair := pairN(i).Inverse()
-		if f.Contains(pair) != restored.Contains(pair) {
-			t.Fatalf("lookup %d diverges after v1 restore", i)
+}
+
+// TestSnapshotHashConstruction: header byte 28 names the hash
+// construction. The writer puts the one construction the library has
+// (1); a reader takes it and the 0 that once meant the default, with
+// identical results. TestSnapshotRejectionTypes covers any other value.
+func TestSnapshotHashConstruction(t *testing.T) {
+	f, snap := smallSnapshot(t)
+	if got := binary.LittleEndian.Uint32(snap[28:]); got != snapshotHash {
+		t.Fatalf("writer put construction %d at byte 28, want %d", got, snapshotHash)
+	}
+	for _, c := range []uint32{0, 1} {
+		mut := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint32(mut[28:], c)
+		body := mut[:len(mut)-snapshotTrailerLen]
+		binary.LittleEndian.PutUint32(mut[len(body):], crc32.Checksum(body, castagnoli))
+		restored, err := ReadFilter(bytes.NewReader(mut))
+		if err != nil {
+			t.Fatalf("construction %d rejected: %v", c, err)
+		}
+		if restored.Config() != f.Config() {
+			t.Fatalf("construction %d: config %+v, want %+v", c, restored.Config(), f.Config())
+		}
+		for i := uint32(0); i < 400; i++ {
+			if pair := pairN(i).Inverse(); f.Contains(pair) != restored.Contains(pair) {
+				t.Fatalf("construction %d: lookup %d diverges after restore", c, i)
+			}
 		}
 	}
 }

@@ -18,19 +18,22 @@ func hex(v uint64) string { return "0x" + strconv.FormatUint(v, 16) }
 // Snapshot format constants. The format is versioned so deployed state
 // files survive library upgrades that do not touch the layout.
 //
-// Version 2 hardens the format for crash-safe edge operation: each bit
-// vector is length-framed (bitvec.WriteFrame) and the whole stream —
-// header and frames — is covered by a trailing CRC32C, so a torn write,
-// a truncated file, or a single flipped bit is rejected with a clean
-// error instead of silently loading a corrupt admission table (which
-// would convert false negatives into dropped legitimate traffic).
-// Version 1 streams remain readable; they carry no checksum.
+// Version 2, the only version, is built for crash-safe edge operation:
+// each bit vector is length-framed (bitvec.WriteFrame) and the whole
+// stream — header and frames — is covered by a trailing CRC32C, so a
+// torn write, a truncated file, or a single flipped bit is rejected with
+// a clean error instead of silently loading a corrupt admission table
+// (which would convert false negatives into dropped legitimate traffic).
+// The unchecksummed version 1 is no longer read.
 const (
 	snapshotMagic = 0x424d4631 // "BMF1"
-	snapshotV1    = 1
 	snapshotV2    = 2
-	// snapshotVersion is the version WriteTo emits.
-	snapshotVersion = snapshotV2
+
+	// snapshotHash is the hash construction word at header byte 28. The
+	// library has one construction, FNV-double, which the format has
+	// always numbered 1; a reader also takes the 0 that once meant "the
+	// default", and rejects anything else.
+	snapshotHash = 1
 
 	snapshotHeaderLen  = 56
 	snapshotTrailerLen = 4
@@ -59,7 +62,7 @@ func (f *Filter) WriteTo(w io.Writer) (int64, error) {
 	crc := crc32.New(castagnoli)
 	cw := io.MultiWriter(w, crc)
 
-	hdr := encodeHeader(snapshotV2, f.cfg, f.started, f.idx, f.next)
+	hdr := encodeHeader(f.cfg, f.started, f.idx, f.next)
 	total := int64(0)
 	n, err := cw.Write(hdr[:])
 	total += int64(n)
@@ -92,9 +95,9 @@ func AppendSnapshot(dst []byte, cfg Config, rot RotationState, words []uint64) [
 	// Filters store their resolved scheme and layout; a configuration
 	// taken before construction may still hold the zero defaults. The
 	// combination was valid when the filter was built.
-	cfg.HashScheme, cfg.Layout, _ = hashes.ResolveSchemeLayout(cfg.HashScheme, cfg.Layout)
+	cfg, _ = cfg.Resolve()
 	start := len(dst)
-	hdr := encodeHeader(snapshotV2, cfg, rot.Started, rot.Index, rot.Next)
+	hdr := encodeHeader(cfg, rot.Started, rot.Index, rot.Next)
 	dst = append(dst, hdr[:]...)
 	n := len(words) / cfg.K
 	for lo := 0; lo < len(words); lo += n {
@@ -106,23 +109,19 @@ func AppendSnapshot(dst []byte, cfg Config, rot RotationState, words []uint64) [
 	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
-// encodeHeader renders the fixed snapshot header for the given version
-// from a filter's configuration and rotation schedule.
+// encodeHeader renders the fixed snapshot header from a filter's
+// configuration and rotation schedule.
 //
 //p2p:codec snapshotv2 encode
-func encodeHeader(version uint32, cfg Config, started bool, idx int, next time.Duration) [snapshotHeaderLen]byte {
+func encodeHeader(cfg Config, started bool, idx int, next time.Duration) [snapshotHeaderLen]byte {
 	var hdr [snapshotHeaderLen]byte
 	binary.LittleEndian.PutUint32(hdr[0:], snapshotMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], version)
+	binary.LittleEndian.PutUint32(hdr[4:], snapshotV2)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(cfg.K))
 	binary.LittleEndian.PutUint32(hdr[12:], uint32(cfg.NBits))
 	binary.LittleEndian.PutUint32(hdr[16:], uint32(cfg.M))
 	binary.LittleEndian.PutUint64(hdr[20:], uint64(cfg.DeltaT))
-	kind := cfg.HashKind
-	if kind == 0 {
-		kind = hashes.FNVDouble
-	}
-	binary.LittleEndian.PutUint32(hdr[28:], uint32(kind))
+	binary.LittleEndian.PutUint32(hdr[28:], snapshotHash)
 	if cfg.HolePunch {
 		hdr[32] = 1
 	}
@@ -133,36 +132,14 @@ func encodeHeader(version uint32, cfg Config, started bool, idx int, next time.D
 	// release; they now carry the resolved index-derivation scheme and
 	// bit layout. Older streams read as zero, which maps back to the
 	// defaults, so every previously written snapshot keeps its meaning.
-	// newFilter resolves cfg.HashScheme/cfg.Layout in place, and
-	// AppendSnapshot resolves its own copy, so these are never the zero
-	// defaults.
+	// newFilter and AppendSnapshot write resolved configurations, so
+	// these are never the zero defaults.
 	hdr[34] = byte(cfg.HashScheme)
 	hdr[35] = byte(cfg.Layout)
 	binary.LittleEndian.PutUint32(hdr[36:], uint32(idx))
 	binary.LittleEndian.PutUint64(hdr[40:], uint64(next))
 	binary.LittleEndian.PutUint64(hdr[48:], cfg.Seed)
 	return hdr
-}
-
-// writeToV1 emits the legacy unframed, unchecksummed version-1 stream.
-// It exists so the version-1 read path stays covered by tests; new
-// snapshots are always version 2.
-func (f *Filter) writeToV1(w io.Writer) (int64, error) {
-	hdr := encodeHeader(snapshotV1, f.cfg, f.started, f.idx, f.next)
-	total := int64(0)
-	n, err := w.Write(hdr[:])
-	total += int64(n)
-	if err != nil {
-		return total, errfmt.Wrap("core: write snapshot header", err)
-	}
-	for _, v := range f.vectors {
-		m, err := v.WriteTo(w)
-		total += m
-		if err != nil {
-			return total, errfmt.Wrap("core: write snapshot vectors", err)
-		}
-	}
-	return total, nil
 }
 
 // ReadFilter reconstructs a filter from a WriteTo stream. The embedded
@@ -172,9 +149,10 @@ func (f *Filter) writeToV1(w io.Writer) (int64, error) {
 // Robustness contract (held by FuzzReadFilter): any corrupt, truncated,
 // or hostile input yields a descriptive error — never a panic, an
 // unbounded allocation, or a filter whose later operations misbehave.
-// For version-2 streams every byte is covered by the CRC32C trailer, so
-// a snapshot that survived a torn write or bit rot is always rejected;
-// callers should treat the error as a cold start, not a fatal condition.
+// Every byte is covered by the CRC32C trailer, so a snapshot that
+// survived a torn write or bit rot is always rejected; callers should
+// treat the error as a cold start, not a fatal condition. A version-1
+// stream fails with ErrSnapshotVersion.
 func ReadFilter(r io.Reader) (*Filter, error) {
 	return ReadFilterWith(r, nil)
 }
@@ -208,16 +186,17 @@ func readFilter(r io.Reader, alloc VectorAllocator) (*Filter, error) {
 	if got := binary.LittleEndian.Uint32(hdr[0:]); got != snapshotMagic {
 		return nil, errfmt.Detail("core: bad snapshot magic "+hex(uint64(got)), ErrSnapshotMagic)
 	}
-	version := binary.LittleEndian.Uint32(hdr[4:])
-	if version != snapshotV1 && version != snapshotV2 {
+	if version := binary.LittleEndian.Uint32(hdr[4:]); version != snapshotV2 {
 		return nil, errfmt.Detail("core: unsupported snapshot version "+strconv.FormatUint(uint64(version), 10), ErrSnapshotVersion)
+	}
+	if hash := binary.LittleEndian.Uint32(hdr[28:]); hash > snapshotHash {
+		return nil, errfmt.Detail("core: unknown snapshot hash construction "+strconv.FormatUint(uint64(hash), 10), ErrSnapshotGeometry)
 	}
 	cfg := Config{
 		K:          int(binary.LittleEndian.Uint32(hdr[8:])),
 		NBits:      uint(binary.LittleEndian.Uint32(hdr[12:])),
 		M:          int(binary.LittleEndian.Uint32(hdr[16:])),
 		DeltaT:     time.Duration(binary.LittleEndian.Uint64(hdr[20:])),
-		HashKind:   hashes.Kind(binary.LittleEndian.Uint32(hdr[28:])),
 		HashScheme: hashes.Scheme(hdr[34]),
 		Layout:     hashes.Layout(hdr[35]),
 		HolePunch:  hdr[32] == 1,
@@ -249,24 +228,17 @@ func readFilter(r io.Reader, alloc VectorAllocator) (*Filter, error) {
 	f.next = time.Duration(binary.LittleEndian.Uint64(hdr[40:]))
 
 	for _, v := range f.vectors {
-		if version == snapshotV1 {
-			_, err = v.ReadFrom(r)
-		} else {
-			_, err = v.ReadFrame(tee)
-		}
-		if err != nil {
+		if _, err := v.ReadFrame(tee); err != nil {
 			return f, errfmt.Wrap("core: read snapshot vectors", err)
 		}
 	}
-	if version == snapshotV2 {
-		want := crc.Sum32()
-		var trailer [snapshotTrailerLen]byte
-		if _, err := io.ReadFull(r, trailer[:]); err != nil {
-			return f, errfmt.Wrap("core: read snapshot trailer", err)
-		}
-		if got := binary.LittleEndian.Uint32(trailer[:]); got != want {
-			return f, errfmt.Detail("core: snapshot checksum mismatch: stored "+hex(uint64(got))+", computed "+hex(uint64(want)), ErrSnapshotChecksum)
-		}
+	want := crc.Sum32()
+	var trailer [snapshotTrailerLen]byte
+	if _, err := io.ReadFull(r, trailer[:]); err != nil {
+		return f, errfmt.Wrap("core: read snapshot trailer", err)
+	}
+	if got := binary.LittleEndian.Uint32(trailer[:]); got != want {
+		return f, errfmt.Detail("core: snapshot checksum mismatch: stored "+hex(uint64(got))+", computed "+hex(uint64(want)), ErrSnapshotChecksum)
 	}
 	return f, nil
 }

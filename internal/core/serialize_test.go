@@ -29,10 +29,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The snapshot normalizes the zero HashKind to the default family and
-	// the zero scheme/layout to the classic defaults.
+	// The snapshot normalizes the zero scheme/layout to the classic
+	// defaults.
 	wantCfg := cfg
-	wantCfg.HashKind = hashes.FNVDouble
 	wantCfg.HashScheme = hashes.SchemePerIndex
 	wantCfg.Layout = hashes.LayoutClassic
 	if restored.Config() != wantCfg {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"p2pbound/internal/bitvec"
 	"p2pbound/internal/core"
 	"p2pbound/internal/naive"
 	"p2pbound/internal/packet"
@@ -55,8 +56,10 @@ func (d Divergence) FNRate() float64 {
 
 // diverge replays the trace through a bitmap filter and a matched exact
 // reference in monitor mode (P_d = 0, so both see identical traffic) and
-// tallies decision differences.
-func diverge(packets []packet.Packet, cfg core.Config) (Divergence, error) {
+// tallies decision differences. A nil derive keeps the filter's own
+// index derivation; otherwise derive fills dst with the m indexes of a
+// flow's outbound-view key bytes, and the filter decides over them.
+func diverge(packets []packet.Packet, cfg core.Config, derive func(dst []uint32, key []byte)) (Divergence, error) {
 	bitmap, err := core.New(cfg)
 	if err != nil {
 		return Divergence{}, err
@@ -65,14 +68,26 @@ func diverge(packets []packet.Packet, cfg core.Config) (Divergence, error) {
 	if err != nil {
 		return Divergence{}, err
 	}
+	enc := packet.NewKeyEncoder(cfg.HolePunch)
+	own := make([]uint32, cfg.M)
 	var d Divergence
 	for i := range packets {
 		pkt := &packets[i]
 		bitmap.Advance(pkt.TS)
 		exact.Advance(pkt.TS)
+		sums := own
+		if derive == nil {
+			sums = bitmap.Sums(pkt)
+		} else {
+			pair := pkt.Pair
+			if pkt.Dir != packet.Outbound {
+				pair = pair.Inverse()
+			}
+			derive(sums, enc.Outbound(pair))
+		}
 		if pkt.Dir == packet.Inbound {
 			d.Inbound++
-			bm := bitmap.Contains(pkt.Pair)
+			bm := allSet(bitmap.Vector(bitmap.Index()), sums)
 			nv := exact.Contains(pkt.Pair, pkt.TS)
 			if !nv {
 				d.Stateless++
@@ -84,11 +99,22 @@ func diverge(packets []packet.Packet, cfg core.Config) (Divergence, error) {
 				d.FalseNegatives++
 			}
 		}
-		bitmap.Process(pkt, 0)
+		bitmap.ProcessSums(pkt, sums, 0)
 		exact.Process(pkt, 0)
 	}
 	d.Utilization = bitmap.Utilization()
 	return d, nil
+}
+
+// allSet reports whether every index of sums is marked in v: the
+// filter's Contains over indexes already derived.
+func allSet(v *bitvec.Vector, sums []uint32) bool {
+	for _, h := range sums {
+		if !v.Get(h) {
+			return false
+		}
+	}
+	return true
 }
 
 // X1Row is one parameter point of the X1 sweep.
@@ -113,7 +139,7 @@ func RunX1(packets []packet.Packet, seed uint64) (*X1Result, error) {
 	res := &X1Result{}
 	add := func(k int, nbits uint, m int, dt time.Duration) error {
 		cfg := core.Config{K: k, NBits: nbits, M: m, DeltaT: dt, Seed: seed}
-		div, err := diverge(packets, cfg)
+		div, err := diverge(packets, cfg, nil)
 		if err != nil {
 			return err
 		}
@@ -187,7 +213,7 @@ type X2Result struct {
 func RunX2(packets []packet.Packet, seed uint64) (*X2Result, error) {
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed
-	div, err := diverge(packets, cfg)
+	div, err := diverge(packets, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -97,7 +97,15 @@ func (s *Suite) RunT1Accuracy() *T1Result {
 	for _, r := range rows {
 		res.Rows = append(res.Rows, *r)
 	}
-	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Truth > res.Rows[j].Truth })
+	// Rows come from a map, so ties on Truth are broken by name: the
+	// table must print the same bytes on every run.
+	sort.Slice(res.Rows, func(i, j int) bool {
+		a, b := &res.Rows[i], &res.Rows[j]
+		if a.Truth != b.Truth {
+			return a.Truth > b.Truth
+		}
+		return a.App.String() < b.App.String()
+	})
 	return res
 }
 

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"p2pbound/internal/bloom"
-	"p2pbound/internal/hashes"
 	"p2pbound/internal/stats"
 )
 
@@ -86,7 +85,7 @@ func RunA1(seed uint64) (*A1Result, error) {
 		{83_000, 3},
 		{125_000, 3},
 	} {
-		f, err := bloom.New(hashes.FNVDouble, mc.m, nbits)
+		f, err := bloom.New(mc.m, nbits)
 		if err != nil {
 			return nil, err
 		}

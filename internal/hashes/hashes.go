@@ -3,46 +3,19 @@
 // bitmap share the same m hash functions, each of which should only output
 // an n-bit value. An output that exceeds n bits should be truncated.").
 //
-// Three independent from-scratch hash constructions are provided —
-// an FNV-1a based Kirsch–Mitzenmacher double-hashing family, Bob Jenkins'
-// lookup3, and a Murmur3-style finalizer hash — so the filter's false
-// positive behaviour can be validated across hash families.
+// The paper leaves the construction open, and the X4 ablation
+// (internal/experiments) shows the choice does not matter for a
+// well-mixed family, so the package keeps one: an FNV-1a based
+// Kirsch–Mitzenmacher double-hashing family (Family.SumInto), plus the
+// one-shot 64-bit key hash (Sum64Words) and its classic and blocked
+// index expansions (DerivedInto, BlockedInto). core.Indexer is the one
+// caller that turns a socket pair into filter indexes with them.
 package hashes
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/bits"
 )
-
-// Kind selects a hash construction for a Family.
-type Kind int
-
-// Supported hash constructions.
-const (
-	// FNVDouble derives the i-th hash as h1 + i·h2 from two FNV-1a
-	// passes (Kirsch–Mitzenmacher double hashing). This is the default:
-	// two hash computations serve any m.
-	FNVDouble Kind = iota + 1
-	// Jenkins uses Bob Jenkins' lookup3 with m distinct seeds.
-	Jenkins
-	// Mix uses a Murmur3-style avalanche mix with m distinct seeds.
-	Mix
-)
-
-// String names the kind.
-func (k Kind) String() string {
-	switch k {
-	case FNVDouble:
-		return "fnv-double"
-	case Jenkins:
-		return "jenkins"
-	case Mix:
-		return "mix"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
 
 // Scheme selects how the m bit indexes of a key are obtained.
 type Scheme int
@@ -50,15 +23,15 @@ type Scheme int
 // Index-derivation schemes. The zero value means SchemePerIndex, the
 // original construction.
 const (
-	// SchemePerIndex runs the full per-index family: m independent
-	// full-key hash computations (Jenkins and Mix) or the classic
-	// Kirsch–Mitzenmacher expansion (FNVDouble).
+	// SchemePerIndex runs the per-index family (Family.SumInto): the
+	// Kirsch–Mitzenmacher expansion of one FNV-1a pass over the key
+	// bytes.
 	SchemePerIndex Scheme = iota + 1
-	// SchemeOneShot hashes the key once into 64 bits (Sum64) and derives
-	// all m indexes arithmetically from that value — one key traversal
-	// per packet regardless of m. For FNVDouble the derived indexes are
-	// bit-identical to SchemePerIndex; for Jenkins and Mix they differ
-	// (two seeded passes are folded into the one-shot value).
+	// SchemeOneShot hashes the key once into 64 bits (Sum64Words) and
+	// derives all m indexes arithmetically from that value — one multiply
+	// per packet instead of FNV's byte-serial chain. Its indexes differ
+	// from SchemePerIndex's for the same key, so the scheme is part of a
+	// filter's geometry and snapshots record it.
 	SchemeOneShot
 )
 
@@ -140,9 +113,8 @@ func ResolveSchemeLayout(scheme Scheme, layout Layout) (Scheme, Layout, error) {
 	return scheme, layout, nil
 }
 
-// Family computes m independent n-bit hash values per key.
+// Family computes m n-bit hash values per key.
 type Family struct {
-	kind  Kind
 	m     int
 	mask  uint32
 	nbits uint
@@ -150,12 +122,7 @@ type Family struct {
 
 // NewFamily builds a family of m hash functions truncated to nbits-bit
 // outputs. nbits must be in [1, 32]; m must be positive.
-func NewFamily(kind Kind, m int, nbits uint) (*Family, error) {
-	switch kind {
-	case FNVDouble, Jenkins, Mix:
-	default:
-		return nil, fmt.Errorf("hashes: unknown kind %d", int(kind))
-	}
+func NewFamily(m int, nbits uint) (*Family, error) {
 	if m <= 0 {
 		return nil, fmt.Errorf("hashes: m must be positive, got %d", m)
 	}
@@ -166,76 +133,36 @@ func NewFamily(kind Kind, m int, nbits uint) (*Family, error) {
 	if nbits < 32 {
 		mask = 1<<nbits - 1
 	}
-	return &Family{kind: kind, m: m, mask: mask, nbits: nbits}, nil
+	return &Family{m: m, mask: mask, nbits: nbits}, nil
 }
 
 // M returns the number of hash functions in the family.
 func (f *Family) M() int { return f.m }
 
-// Kind returns the construction used by the family.
-func (f *Family) Kind() Kind { return f.kind }
-
-// Sum appends the m truncated hash values of key to dst and returns the
-// extended slice. Passing a reusable dst[:0] keeps the hot path
-// allocation-free.
+// SumInto fills dst (length M) with the per-index-scheme indexes of
+// key: the classic expansion (DerivedInto) of one 64-bit FNV-1a pass
+// finalized with the splitmix64 mixer, whose low and high words are the
+// two independent hashes of the Kirsch–Mitzenmacher construction. (Two
+// 32-bit FNV passes with different bases are affinely related for
+// equal-length keys and collide structurally.) This derivation is
+// frozen: snapshots written before the scheme byte existed resolve to
+// SchemePerIndex, so their marks must keep hashing identically.
 //
 //p2p:hotpath
-func (f *Family) Sum(dst []uint32, key []byte) []uint32 {
-	switch f.kind {
-	case FNVDouble:
-		// One 64-bit FNV-1a pass finalized with the splitmix64 mixer;
-		// the low and high words give the two independent hashes of the
-		// Kirsch–Mitzenmacher construction. (Two 32-bit FNV passes with
-		// different bases are affinely related for equal-length keys
-		// and collide structurally.) This derivation is frozen: snapshots
-		// written before the scheme byte existed resolve to
-		// SchemePerIndex, so their marks must keep hashing identically.
-		return f.AppendDerived(dst, mix64(FNV1a64(key)))
-	case Jenkins:
-		for i := 0; i < f.m; i++ {
-			dst = append(dst, Lookup3(uint32(i)*0x9e3779b9+1, key)&f.mask) //p2p:bounded cap(dst) >= m on the reused hot-path buffer
-		}
-	case Mix:
-		for i := 0; i < f.m; i++ {
-			dst = append(dst, MixHash(uint32(i)*0x85ebca6b+1, key)&f.mask) //p2p:bounded cap(dst) >= m on the reused hot-path buffer
-		}
-	}
-	return dst
+func (f *Family) SumInto(dst []uint32, key []byte) {
+	f.DerivedInto(dst, mix64(FNV1a64(key)))
 }
 
-// Sum64 is the one-shot 64-bit hash of key: two overlapping word loads
-// folded through one 64×64→128 multiply and the splitmix64 finalizer,
-// so every output bit avalanches. All m indexes of the SchemeOneShot
-// derivations (AppendDerived, AppendBlocked) come from this single
-// value.
-//
-// The function is deliberately kind-independent. Per-index hashing
-// walks the key once per construction (FNV's byte-serial chain alone is
-// a ~50-cycle dependency per 13-byte key); the whole point of the
-// one-shot scheme is that index derivation collapses to a handful of
-// register operations, so it uses the one fixed short-key hash and the
-// kind keeps selecting only the per-index family. SchemeOneShot is
-// recorded in snapshots and never the resolved default for pre-scheme
-// snapshots, so no stored marks depend on an older one-shot derivation.
-//
-//p2p:hotpath
-func (f *Family) Sum64(key []byte) uint64 {
-	if len(key) >= 8 {
-		// The two loads overlap for keys shorter than 16 bytes; every
-		// key byte reaches at least one word, so distinct keys of equal
-		// length map to distinct (a, b) pairs.
-		return Sum64Words(
-			binary.LittleEndian.Uint64(key),
-			binary.LittleEndian.Uint64(key[len(key)-8:]),
-			uint64(len(key)))
-	}
-	return sum64Short(key)
-}
-
-// Sum64Words is Sum64 over a key already loaded as its two overlapping
-// words — a is bytes [0,8), b is bytes [n-8,n) — for key lengths n in
-// [8,16]. Callers that can produce the words from in-register fields
-// (packet.SocketPair.KeyWords) skip the key buffer round trip entirely.
+// Sum64Words is the one-shot 64-bit key hash, over a key of n bytes in
+// [8,16] given as its two overlapping little-endian words: a is bytes
+// [0,8), b is bytes [n-8,n). The words are folded through one 64×64→128
+// multiply and the splitmix64 finalizer, so every output bit
+// avalanches. Every key byte reaches at least one word, so distinct
+// keys of equal length map to distinct (a, b) pairs. Callers produce
+// the words from in-register fields (packet.SocketPair.KeyWords), never
+// from an encoded key buffer, whose byte stores and overlapping loads
+// defeat store-to-load forwarding. All m indexes of the SchemeOneShot
+// derivations (DerivedInto, BlockedInto) come from this one value.
 //
 //p2p:hotpath
 func Sum64Words(a, b, n uint64) uint64 {
@@ -243,85 +170,27 @@ func Sum64Words(a, b, n uint64) uint64 {
 	return mix64(hi ^ lo ^ n*0x9ddfea08eb382d69)
 }
 
-// sum64Short is the sub-word-key fallback of Sum64, outlined so the
-// fast path stays small enough to inline into the batch hash loops.
-//
-//p2p:hotpath
-func sum64Short(key []byte) uint64 {
-	return mix64(FNV1a64(key) ^ uint64(len(key))<<56)
-}
-
-// AppendDerived appends the m classic-layout indexes derived from the
-// one-shot hash h: the Kirsch–Mitzenmacher expansion h1 + i·h2 over the
-// low and high words, truncated to n bits.
-//
-//p2p:hotpath
-func (f *Family) AppendDerived(dst []uint32, h uint64) []uint32 {
-	h1 := uint32(h)
-	h2 := uint32(h>>32) | 1 // odd so strides cover the table
-	for i := 0; i < f.m; i++ {
-		dst = append(dst, (h1+uint32(i)*h2)&f.mask) //p2p:bounded cap(dst) >= m on the reused hot-path buffer
-	}
-	return dst
-}
-
-// AppendBlocked appends the m blocked-layout indexes derived from the
-// one-shot hash h. The 512-bit block is chosen by multiply-shift range
-// reduction on the high word of h; the in-block offsets double-hash a
-// remixed copy of h, so the offset stream is decorrelated from the
-// block choice. All m indexes fall in [block·512, block·512+512), i.e.
-// one cache line of the bit vector. Vectors smaller than 512 bits use
-// the whole vector as the single block.
-//
-//p2p:hotpath
-func (f *Family) AppendBlocked(dst []uint32, h uint64) []uint32 {
-	lineBits := uint32(LineBits)
-	if n := uint64(1) << f.nbits; n < LineBits {
-		lineBits = uint32(n)
-	}
-	lines := uint32((uint64(1) << f.nbits) / uint64(lineBits))
-	base := uint32((uint64(uint32(h>>32))*uint64(lines))>>32) * lineBits
-	g := mix64(h ^ 0x9e3779b97f4a7c15)
-	g1 := uint32(g)
-	g2 := uint32(g>>32) | 1
-	off := lineBits - 1
-	for i := 0; i < f.m; i++ {
-		dst = append(dst, base+((g1+uint32(i)*g2)&off)) //p2p:bounded cap(dst) >= m on the reused hot-path buffer
-	}
-	return dst
-}
-
-// SumDerivedInto fills dst (length M) with the classic-layout indexes
-// of key: exactly AppendDerived(Sum64(key)) but as one fused call, so
-// the per-key hot path pays a single function-call boundary instead of
-// three and the intermediate hash never leaves registers.
-//
-//p2p:hotpath
-func (f *Family) SumDerivedInto(dst []uint32, key []byte) {
-	f.DerivedInto(dst, f.Sum64(key))
-}
-
-// DerivedInto is AppendDerived writing into a fixed-length dst.
+// DerivedInto fills dst (length M) with the classic-layout indexes
+// derived from the one-shot hash h: the Kirsch–Mitzenmacher expansion
+// h1 + i·h2 over the low and high words, truncated to n bits.
 //
 //p2p:hotpath
 func (f *Family) DerivedInto(dst []uint32, h uint64) {
 	h1 := uint32(h)
-	h2 := uint32(h>>32) | 1
+	h2 := uint32(h>>32) | 1 // odd so strides cover the table
 	for i := range dst {
 		dst[i] = (h1 + uint32(i)*h2) & f.mask
 	}
 }
 
-// SumBlockedInto fills dst (length M) with the blocked-layout indexes
-// of key: exactly AppendBlocked(Sum64(key)) as one fused call. See
-// SumDerivedInto for why the fusion exists.
-//
-//p2p:hotpath
-func (f *Family) SumBlockedInto(dst []uint32, key []byte) {
-	f.BlockedInto(dst, f.Sum64(key))
-}
-
-// BlockedInto is AppendBlocked writing into a fixed-length dst.
+// BlockedInto fills dst (length M) with the blocked-layout indexes
+// derived from the one-shot hash h. The 512-bit block is chosen by
+// multiply-shift range reduction on the high word of h; the in-block
+// offsets double-hash a remixed copy of h, so the offset stream is
+// decorrelated from the block choice. All m indexes fall in
+// [block·512, block·512+512), i.e. one cache line of the bit vector.
+// Vectors smaller than 512 bits use the whole vector as the single
+// block.
 //
 //p2p:hotpath
 func (f *Family) BlockedInto(dst []uint32, h uint64) {
@@ -337,31 +206,6 @@ func (f *Family) BlockedInto(dst []uint32, h uint64) {
 	off := lineBits - 1
 	for i := range dst {
 		dst[i] = base + ((g1 + uint32(i)*g2) & off)
-	}
-}
-
-// SumInto fills dst (length M) with the per-index-scheme indexes of
-// key, the fused-call equivalent of Sum.
-//
-//p2p:hotpath
-func (f *Family) SumInto(dst []uint32, key []byte) {
-	switch f.kind {
-	case FNVDouble:
-		// The frozen per-index derivation — see Sum, not Sum64.
-		h := mix64(FNV1a64(key))
-		h1 := uint32(h)
-		h2 := uint32(h>>32) | 1
-		for i := range dst {
-			dst[i] = (h1 + uint32(i)*h2) & f.mask
-		}
-	case Jenkins:
-		for i := range dst {
-			dst[i] = Lookup3(uint32(i)*0x9e3779b9+1, key) & f.mask
-		}
-	case Mix:
-		for i := range dst {
-			dst[i] = MixHash(uint32(i)*0x85ebca6b+1, key) & f.mask
-		}
 	}
 }
 
@@ -392,119 +236,4 @@ func FNV1a64(key []byte) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// FNV1a is the 32-bit Fowler–Noll–Vo 1a hash with a custom basis.
-//
-//p2p:hotpath
-func FNV1a(basis uint32, key []byte) uint32 {
-	const prime = 16777619
-	h := basis
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= prime
-	}
-	return h
-}
-
-// MixHash hashes key with a Murmur3-style body and avalanche finalizer.
-//
-//p2p:hotpath
-func MixHash(seed uint32, key []byte) uint32 {
-	const (
-		c1 = 0xcc9e2d51
-		c2 = 0x1b873593
-	)
-	h := seed
-	n := len(key)
-	for len(key) >= 4 {
-		k := binary.LittleEndian.Uint32(key)
-		key = key[4:]
-		k *= c1
-		k = k<<15 | k>>17
-		k *= c2
-		h ^= k
-		h = h<<13 | h>>19
-		h = h*5 + 0xe6546b64
-	}
-	var k uint32
-	switch len(key) {
-	case 3:
-		k ^= uint32(key[2]) << 16
-		fallthrough
-	case 2:
-		k ^= uint32(key[1]) << 8
-		fallthrough
-	case 1:
-		k ^= uint32(key[0])
-		k *= c1
-		k = k<<15 | k>>17
-		k *= c2
-		h ^= k
-	}
-	h ^= uint32(n)
-	h ^= h >> 16
-	h *= 0x85ebca6b
-	h ^= h >> 13
-	h *= 0xc2b2ae35
-	h ^= h >> 16
-	return h
-}
-
-// Lookup3 is Bob Jenkins' lookup3 hashlittle function over key with the
-// given seed.
-//
-//p2p:hotpath
-func Lookup3(seed uint32, key []byte) uint32 {
-	a := uint32(0xdeadbeef) + uint32(len(key)) + seed
-	b, c := a, a
-	for len(key) > 12 {
-		a += binary.LittleEndian.Uint32(key[0:4])
-		b += binary.LittleEndian.Uint32(key[4:8])
-		c += binary.LittleEndian.Uint32(key[8:12])
-		// mix
-		a -= c
-		a ^= c<<4 | c>>28
-		c += b
-		b -= a
-		b ^= a<<6 | a>>26
-		a += c
-		c -= b
-		c ^= b<<8 | b>>24
-		b += a
-		a -= c
-		a ^= c<<16 | c>>16
-		c += b
-		b -= a
-		b ^= a<<19 | a>>13
-		a += c
-		c -= b
-		c ^= b<<4 | b>>28
-		b += a
-		key = key[12:]
-	}
-	if len(key) == 0 {
-		return c
-	}
-	var tail [12]byte
-	copy(tail[:], key)
-	a += binary.LittleEndian.Uint32(tail[0:4])
-	b += binary.LittleEndian.Uint32(tail[4:8])
-	c += binary.LittleEndian.Uint32(tail[8:12])
-	// final
-	c ^= b
-	c -= b<<14 | b>>18
-	a ^= c
-	a -= c<<11 | c>>21
-	b ^= a
-	b -= a<<25 | a>>7
-	c ^= b
-	c -= b<<16 | b>>16
-	a ^= c
-	a -= c<<4 | c>>28
-	b ^= a
-	b -= a<<14 | a>>18
-	c ^= b
-	c -= b<<24 | b>>8
-	return c
 }

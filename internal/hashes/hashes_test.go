@@ -2,6 +2,7 @@ package hashes
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -9,129 +10,94 @@ import (
 func TestNewFamilyValidation(t *testing.T) {
 	tests := []struct {
 		name  string
-		kind  Kind
 		m     int
 		nbits uint
 		ok    bool
 	}{
-		{"valid fnv", FNVDouble, 3, 20, true},
-		{"valid jenkins", Jenkins, 1, 1, true},
-		{"valid mix 32 bits", Mix, 8, 32, true},
-		{"zero m", FNVDouble, 0, 20, false},
-		{"negative m", FNVDouble, -1, 20, false},
-		{"zero nbits", FNVDouble, 3, 0, false},
-		{"oversized nbits", FNVDouble, 3, 33, false},
-		{"unknown kind", Kind(99), 3, 20, false},
+		{"valid fnv", 3, 20, true},
+		{"valid 32 bits", 8, 32, true},
+		{"zero m", 0, 20, false},
+		{"negative m", -1, 20, false},
+		{"zero nbits", 3, 0, false},
+		{"oversized nbits", 3, 33, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			_, err := NewFamily(tt.kind, tt.m, tt.nbits)
+			_, err := NewFamily(tt.m, tt.nbits)
 			if (err == nil) != tt.ok {
-				t.Fatalf("NewFamily(%v, %d, %d) error = %v, want ok=%v", tt.kind, tt.m, tt.nbits, err, tt.ok)
+				t.Fatalf("NewFamily(%d, %d) error = %v, want ok=%v", tt.m, tt.nbits, err, tt.ok)
 			}
 		})
 	}
 }
 
-func TestKindString(t *testing.T) {
-	tests := []struct {
-		give Kind
-		want string
-	}{
-		{FNVDouble, "fnv-double"},
-		{Jenkins, "jenkins"},
-		{Mix, "mix"},
-		{Kind(42), "kind(42)"},
-	}
-	for _, tt := range tests {
-		if got := tt.give.String(); got != tt.want {
-			t.Errorf("Kind.String() = %q, want %q", got, tt.want)
-		}
-	}
+// sum returns the m per-index indexes of key.
+func sum(f *Family, key []byte) []uint32 {
+	dst := make([]uint32, f.M())
+	f.SumInto(dst, key)
+	return dst
 }
 
 func TestSumCountAndRange(t *testing.T) {
-	for _, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 5, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sums := f.Sum(nil, []byte("hello world"))
-		if len(sums) != 5 {
-			t.Fatalf("%v: got %d sums, want 5", kind, len(sums))
-		}
-		for _, h := range sums {
-			if h >= 1<<10 {
-				t.Fatalf("%v: hash %d exceeds 10-bit range", kind, h)
-			}
+	f, err := NewFamily(5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range sum(f, []byte("hello world")) {
+		if h >= 1<<10 {
+			t.Fatalf("hash %d exceeds 10-bit range", h)
 		}
 	}
 }
 
 func TestSumDeterministic(t *testing.T) {
-	for _, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 4, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		key := []byte{0x13, 'B', 'i', 't', 0xe3, 0x00, 0xff}
-		a := f.Sum(nil, key)
-		b := f.Sum(nil, key)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%v: sums differ at %d", kind, i)
-			}
-		}
-	}
-}
-
-func TestSumReusesDst(t *testing.T) {
-	f, err := NewFamily(FNVDouble, 3, 16)
+	f, err := NewFamily(4, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]uint32, 0, 3)
-	out := f.Sum(buf, []byte("key"))
-	if &out[0] != &buf[:1][0] {
-		t.Fatal("Sum did not reuse the destination slice")
+	key := []byte{0x13, 'B', 'i', 't', 0xe3, 0x00, 0xff}
+	a := sum(f, key)
+	b := sum(f, key)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("sums differ at %d", i)
+		}
 	}
 }
 
 // TestSumSpread property: for a family with 32-bit output, two different
 // keys rarely produce identical full hash vectors.
 func TestSumSpread(t *testing.T) {
-	for _, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 3, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		collisions := 0
-		trials := 0
-		check := func(a, b []byte) bool {
-			if string(a) == string(b) {
-				return true
-			}
-			trials++
-			ha := f.Sum(nil, a)
-			hb := f.Sum(nil, b)
-			same := true
-			for i := range ha {
-				if ha[i] != hb[i] {
-					same = false
-					break
-				}
-			}
-			if same {
-				collisions++
-			}
+	f, err := NewFamily(3, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	collisions := 0
+	trials := 0
+	check := func(a, b []byte) bool {
+		if string(a) == string(b) {
 			return true
 		}
-		if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-			t.Fatal(err)
+		trials++
+		ha := sum(f, a)
+		hb := sum(f, b)
+		same := true
+		for i := range ha {
+			if ha[i] != hb[i] {
+				same = false
+				break
+			}
 		}
-		if collisions > 0 {
-			t.Errorf("%v: %d full-vector collisions in %d trials", kind, collisions, trials)
+		if same {
+			collisions++
 		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+	if collisions > 0 {
+		t.Errorf("%d full-vector collisions in %d trials", collisions, trials)
 	}
 }
 
@@ -143,33 +109,31 @@ func TestUniformity(t *testing.T) {
 		buckets = 1 << nbits
 		keys    = 100_000
 	)
-	for _, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 1, nbits)
-		if err != nil {
-			t.Fatal(err)
+	f, err := NewFamily(1, nbits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]int, buckets)
+	key := make([]byte, 13)
+	for i := 0; i < keys; i++ {
+		key[0] = byte(i)
+		key[1] = byte(i >> 8)
+		key[2] = byte(i >> 16)
+		key[7] = byte(i * 7)
+		for _, h := range sum(f, key) {
+			counts[h]++
 		}
-		counts := make([]int, buckets)
-		key := make([]byte, 13)
-		for i := 0; i < keys; i++ {
-			key[0] = byte(i)
-			key[1] = byte(i >> 8)
-			key[2] = byte(i >> 16)
-			key[7] = byte(i * 7)
-			for _, h := range f.Sum(nil, key) {
-				counts[h]++
-			}
-		}
-		mean := float64(keys) / buckets
-		var chi2 float64
-		for _, c := range counts {
-			d := float64(c) - mean
-			chi2 += d * d / mean
-		}
-		// For 255 degrees of freedom the 99.9th percentile is ≈330; give
-		// slack for structured keys.
-		if chi2 > 400 {
-			t.Errorf("%v: chi-squared = %.1f, want < 400 (non-uniform)", kind, chi2)
-		}
+	}
+	mean := float64(keys) / buckets
+	var chi2 float64
+	for _, c := range counts {
+		d := float64(c) - mean
+		chi2 += d * d / mean
+	}
+	// For 255 degrees of freedom the 99.9th percentile is ≈330; give
+	// slack for structured keys.
+	if chi2 > 400 {
+		t.Errorf("chi-squared = %.1f, want < 400 (non-uniform)", chi2)
 	}
 }
 
@@ -177,7 +141,7 @@ func TestUniformity(t *testing.T) {
 // construction: hash_i = h1 + i·h2 truncated, with h1 and h2 drawn from
 // the finalized 64-bit FNV-1a digest.
 func TestFNVDoubleMatchesDefinition(t *testing.T) {
-	f, err := NewFamily(FNVDouble, 4, 16)
+	f, err := NewFamily(4, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +154,7 @@ func TestFNVDoubleMatchesDefinition(t *testing.T) {
 	h ^= h >> 31
 	h1 := uint32(h)
 	h2 := uint32(h>>32) | 1
-	sums := f.Sum(nil, key)
-	for i, got := range sums {
+	for i, got := range sum(f, key) {
 		want := (h1 + uint32(i)*h2) & 0xffff
 		if got != want {
 			t.Fatalf("sum[%d] = %d, want %d", i, got, want)
@@ -209,58 +172,18 @@ func TestFNV1a64KnownVector(t *testing.T) {
 	}
 }
 
-func TestFNV1aKnownVector(t *testing.T) {
-	// FNV-1a with the standard 32-bit basis: fnv1a("") = basis,
-	// fnv1a("a") = 0xe40c292c.
-	if got := FNV1a(0x811c9dc5, nil); got != 0x811c9dc5 {
-		t.Fatalf("FNV1a(\"\") = %#x", got)
-	}
-	if got := FNV1a(0x811c9dc5, []byte("a")); got != 0xe40c292c {
-		t.Fatalf("FNV1a(\"a\") = %#x, want 0xe40c292c", got)
-	}
-}
-
-func TestLookup3AndMixHandleAllLengths(t *testing.T) {
-	// Exercise every tail-length branch.
-	for n := 0; n <= 40; n++ {
-		key := make([]byte, n)
-		for i := range key {
-			key[i] = byte(i * 31)
-		}
-		_ = Lookup3(1, key)
-		_ = MixHash(1, key)
-	}
-}
-
-func TestSeedChangesHash(t *testing.T) {
-	key := []byte("some key")
-	if Lookup3(1, key) == Lookup3(2, key) {
-		t.Error("Lookup3 ignores seed")
-	}
-	if MixHash(1, key) == MixHash(2, key) {
-		t.Error("MixHash ignores seed")
-	}
-}
-
-// TestAvalanche property (loose): flipping one input bit flips a
-// substantial number of output bits on average.
+// TestAvalanche property (loose): flipping one bit of either key word
+// flips about half of the one-shot hash's 64 output bits on average.
 func TestAvalanche(t *testing.T) {
-	key := make([]byte, 13)
+	a, b := uint64(0x0123456789abcdef), uint64(0xfedcba9876543210)
+	orig := Sum64Words(a, b, 13)
 	flips := 0
-	trials := 0
-	for i := 0; i < len(key)*8; i++ {
-		orig := MixHash(7, key)
-		key[i/8] ^= 1 << (i % 8)
-		flipped := MixHash(7, key)
-		key[i/8] ^= 1 << (i % 8)
-		diff := orig ^ flipped
-		for ; diff != 0; diff &= diff - 1 {
-			flips++
-		}
-		trials++
+	for i := 0; i < 64; i++ {
+		flips += bits.OnesCount64(orig ^ Sum64Words(a^1<<i, b, 13))
+		flips += bits.OnesCount64(orig ^ Sum64Words(a, b^1<<i, 13))
 	}
-	avg := float64(flips) / float64(trials)
-	if math.Abs(avg-16) > 5 {
-		t.Fatalf("average flipped output bits = %.2f, want ≈16", avg)
+	avg := float64(flips) / 128
+	if math.Abs(avg-32) > 4 {
+		t.Fatalf("average flipped output bits = %.2f, want ≈32", avg)
 	}
 }

@@ -64,22 +64,32 @@ func TestSchemeLayoutStrings(t *testing.T) {
 	}
 }
 
-// TestPerIndexFrozenAgainstOneShot: the FNVDouble per-index family is
-// the frozen pre-scheme derivation — the Kirsch–Mitzenmacher expansion
-// of mix64(FNV1a64) — because snapshots written before the scheme byte
-// existed resolve to SchemePerIndex. It must NOT follow Sum64, which
-// the one-shot scheme is free to define as a faster key hash.
+// keyHash is the one-shot hash of a key of 8 to 16 bytes, loaded as its
+// two overlapping words the way packet.SocketPair.KeyWords produces
+// them.
+func keyHash(key []byte) uint64 {
+	return Sum64Words(binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[len(key)-8:]), uint64(len(key)))
+}
+
+// TestPerIndexFrozenAgainstOneShot: the per-index family is the frozen
+// pre-scheme derivation — the Kirsch–Mitzenmacher expansion of
+// mix64(FNV1a64) — because snapshots written before the scheme byte
+// existed resolve to SchemePerIndex. It must NOT follow the one-shot
+// hash, which the one-shot scheme is free to define as a faster key
+// hash: the two schemes derive different indexes for the same key.
 func TestPerIndexFrozenAgainstOneShot(t *testing.T) {
-	f, err := NewFamily(FNVDouble, 5, 20)
+	f, err := NewFamily(5, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var key [13]byte
+	per := make([]uint32, 5)
+	one := make([]uint32, 5)
 	agree := 0
 	for trial := 0; trial < 1000; trial++ {
 		binary.LittleEndian.PutUint64(key[:8], uint64(trial)*0x9e3779b97f4a7c15+1)
 		binary.LittleEndian.PutUint32(key[8:12], uint32(trial))
-		per := f.Sum(nil, key[:])
+		f.SumInto(per, key[:])
 		// The frozen derivation, written out: expand mix64(FNV1a64(key)).
 		h := uint64(0xcbf29ce484222325)
 		for _, b := range key {
@@ -97,95 +107,50 @@ func TestPerIndexFrozenAgainstOneShot(t *testing.T) {
 				t.Fatalf("trial %d index %d: per-index %d != frozen %d", trial, i, per[i], want)
 			}
 		}
-		if d := f.AppendDerived(nil, f.Sum64(key[:])); d[0] == per[0] {
+		if f.DerivedInto(one, keyHash(key[:])); one[0] == per[0] {
 			agree++
 		}
 	}
 	if agree > 100 {
-		t.Fatalf("one-shot derivation agrees with per-index on %d/1000 keys; Sum64 does not look independent", agree)
+		t.Fatalf("one-shot derivation agrees with per-index on %d/1000 keys; Sum64Words does not look independent", agree)
 	}
 }
 
-// TestSumIntoMatchesAppendVariants: the fused *Into batch entry points
-// must be bit-identical to their append-style compositions — they exist
-// only to collapse function-call boundaries, never to change indexes.
-func TestSumIntoMatchesAppendVariants(t *testing.T) {
-	for _, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 4, 22)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var key [13]byte
-		got := make([]uint32, 4)
-		for trial := 0; trial < 500; trial++ {
-			binary.LittleEndian.PutUint64(key[:8], uint64(trial)*0x2545f4914f6cdd1d+7)
-			binary.LittleEndian.PutUint32(key[8:12], uint32(trial)*3)
-			f.SumInto(got, key[:])
-			if want := f.Sum(nil, key[:]); !equalU32(got, want) {
-				t.Fatalf("kind %v trial %d: SumInto %v != Sum %v", kind, trial, got, want)
-			}
-			f.SumDerivedInto(got, key[:])
-			if want := f.AppendDerived(nil, f.Sum64(key[:])); !equalU32(got, want) {
-				t.Fatalf("kind %v trial %d: SumDerivedInto %v != AppendDerived %v", kind, trial, got, want)
-			}
-			f.SumBlockedInto(got, key[:])
-			if want := f.AppendBlocked(nil, f.Sum64(key[:])); !equalU32(got, want) {
-				t.Fatalf("kind %v trial %d: SumBlockedInto %v != AppendBlocked %v", kind, trial, got, want)
-			}
-		}
-	}
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestAppendBlockedConfinedToOneLine: every index of a key must land in
+// TestBlockedIntoConfinedToOneLine: every index of a key must land in
 // the same 512-bit block — the property the whole layout exists for.
-func TestAppendBlockedConfinedToOneLine(t *testing.T) {
-	for _, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 8, 24)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var key [13]byte
-		for trial := 0; trial < 2000; trial++ {
-			binary.LittleEndian.PutUint64(key[:8], uint64(trial)*0x6c62272e07bb0142+3)
-			idx := f.AppendBlocked(nil, f.Sum64(key[:]))
-			if len(idx) != 8 {
-				t.Fatalf("%v: got %d indexes, want 8", kind, len(idx))
-			}
-			line := idx[0] / LineBits
-			for _, i := range idx {
-				if i>>24 != 0 {
-					t.Fatalf("%v trial %d: index %d out of the 2^24 range", kind, trial, i)
-				}
-				if i/LineBits != line {
-					t.Fatalf("%v trial %d: indexes straddle lines %d and %d", kind, trial, line, i/LineBits)
-				}
-			}
-		}
-	}
-}
-
-// TestAppendBlockedTinyVector: a vector smaller than one cache line
-// degenerates to a single block covering the whole vector.
-func TestAppendBlockedTinyVector(t *testing.T) {
-	f, err := NewFamily(FNVDouble, 4, 8) // 256-bit vector < 512-bit line
+func TestBlockedIntoConfinedToOneLine(t *testing.T) {
+	f, err := NewFamily(8, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var key [13]byte
+	idx := make([]uint32, 8)
+	for trial := 0; trial < 2000; trial++ {
+		binary.LittleEndian.PutUint64(key[:8], uint64(trial)*0x6c62272e07bb0142+3)
+		f.BlockedInto(idx, keyHash(key[:]))
+		line := idx[0] / LineBits
+		for _, i := range idx {
+			if i>>24 != 0 {
+				t.Fatalf("trial %d: index %d out of the 2^24 range", trial, i)
+			}
+			if i/LineBits != line {
+				t.Fatalf("trial %d: indexes straddle lines %d and %d", trial, line, i/LineBits)
+			}
+		}
+	}
+}
+
+// TestBlockedIntoTinyVector: a vector smaller than one cache line
+// degenerates to a single block covering the whole vector.
+func TestBlockedIntoTinyVector(t *testing.T) {
+	f, err := NewFamily(4, 8) // 256-bit vector < 512-bit line
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := make([]uint32, 4)
 	for trial := 0; trial < 500; trial++ {
-		key := []byte{byte(trial), byte(trial >> 8), 7}
-		for _, i := range f.AppendBlocked(nil, f.Sum64(key)) {
+		f.BlockedInto(idx, Sum64Words(uint64(trial), uint64(trial)<<8|7, 11))
+		for _, i := range idx {
 			if i >= 256 {
 				t.Fatalf("trial %d: index %d outside the 256-bit vector", trial, i)
 			}
@@ -193,21 +158,22 @@ func TestAppendBlockedTinyVector(t *testing.T) {
 	}
 }
 
-// TestAppendBlockedSpread: blocks must be chosen roughly uniformly, or
+// TestBlockedIntoSpread: blocks must be chosen roughly uniformly, or
 // the layout would concentrate utilization and blow up the false
 // positive rate. With 4096 keys over 32768 lines, any line hit by more
 // than a handful of keys signals a broken block choice.
-func TestAppendBlockedSpread(t *testing.T) {
-	f, err := NewFamily(FNVDouble, 4, 24)
+func TestBlockedIntoSpread(t *testing.T) {
+	f, err := NewFamily(4, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const keys = 4096
 	lines := make(map[uint32]int)
 	var key [8]byte
+	idx := make([]uint32, 4)
 	for trial := 0; trial < keys; trial++ {
 		binary.LittleEndian.PutUint64(key[:], uint64(trial))
-		idx := f.AppendBlocked(nil, f.Sum64(key[:]))
+		f.BlockedInto(idx, keyHash(key[:]))
 		lines[idx[0]/LineBits]++
 	}
 	if len(lines) < keys*9/10 {
@@ -221,28 +187,16 @@ func TestAppendBlockedSpread(t *testing.T) {
 }
 
 // TestSum64Deterministic: the one-shot hash must be a pure function of
-// the key bytes, identical across kinds (it is the single shared key
-// hash; the kind only selects the per-index family), and sensitive to
-// key length for the sub-word fallback.
+// the key words and length, and sensitive to the length, which tells
+// apart the full and hole-punch keys of one socket pair.
 func TestSum64Deterministic(t *testing.T) {
-	key := []byte("one-shot determinism probe")
-	var ref uint64
-	for i, kind := range []Kind{FNVDouble, Jenkins, Mix} {
-		f, err := NewFamily(kind, 3, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := f.Sum64(key)
-		if h2 := f.Sum64(key); h2 != h {
-			t.Fatalf("%v: Sum64 not deterministic: %#x vs %#x", kind, h, h2)
-		}
-		if i == 0 {
-			ref = h
-		} else if h != ref {
-			t.Fatalf("%v: Sum64 = %#x, want the kind-independent %#x", kind, h, ref)
-		}
-		if short := f.Sum64(key[:5]); short == h || short != f.Sum64(key[:5]) {
-			t.Fatalf("%v: sub-word fallback broken: %#x vs %#x", kind, short, h)
-		}
+	key := []byte("one-shot probe")
+	h := keyHash(key)
+	if h2 := keyHash(key); h2 != h {
+		t.Fatalf("Sum64Words not deterministic: %#x vs %#x", h, h2)
+	}
+	a, b := binary.LittleEndian.Uint64(key), binary.LittleEndian.Uint64(key[len(key)-8:])
+	if Sum64Words(a, b, 11) == h {
+		t.Fatalf("Sum64Words ignores the key length: %#x", h)
 	}
 }

@@ -3,7 +3,7 @@ package offload
 import (
 	"sync/atomic"
 
-	"p2pbound/internal/hashes"
+	"p2pbound/internal/core"
 	"p2pbound/internal/packet"
 )
 
@@ -41,20 +41,17 @@ func (v Verdict) String() string {
 // else — it models the kernel-side stage of the two-tier split, which
 // has the map words and the geometry header but no access to the Go
 // filter, its meter, or its rng. A FastPath is owned by one probing
-// goroutine (it carries key-encoding and index scratch); run one per
+// goroutine (its indexer carries key-encoding scratch); run one per
 // consumer. Any number of FastPaths may read the same Map concurrently
 // with its publisher.
 type FastPath struct {
-	m   *Map
-	fam *hashes.Family
-	enc packet.KeyEncoder
-	// sums is the per-probe index scratch, preallocated to m.
-	sums    []uint32
-	blocked bool
-	oneShot bool
-	k       int
-	wpv     int
-	shift   uint
+	m  *Map
+	ix *core.Indexer
+	// sums is the per-probe index scratch: m entries.
+	sums  []uint32
+	k     int
+	wpv   int
+	shift uint
 
 	// Probe accounting, owned by the probing goroutine; read them from
 	// the same goroutine or after it stops.
@@ -63,25 +60,22 @@ type FastPath struct {
 	retries     uint64
 }
 
-// NewFastPath builds a prober over m. The hash family and key encoder
-// are reconstructed purely from the map's geometry header — the same
-// information a kernel consumer would read — so probe indexes are
-// derived exactly as the publishing filter derives them.
+// NewFastPath builds a prober over m. Its core.Indexer is built purely
+// from the map's geometry header — the same information a kernel
+// consumer would read — so probe indexes are derived by the very code
+// the publishing filter derives its marks with.
 func NewFastPath(m *Map) (*FastPath, error) {
-	fam, err := m.geom.validate()
+	ix, err := m.geom.validate()
 	if err != nil {
 		return nil, err
 	}
 	return &FastPath{
-		m:       m,
-		fam:     fam,
-		enc:     packet.NewKeyEncoder(m.geom.HolePunch),
-		sums:    make([]uint32, 0, m.geom.M),
-		blocked: m.geom.Layout == hashes.LayoutBlocked,
-		oneShot: m.geom.Scheme == hashes.SchemeOneShot,
-		k:       m.geom.K,
-		wpv:     m.wordsPerVec,
-		shift:   uint(32 - m.prefixBits),
+		m:     m,
+		ix:    ix,
+		sums:  make([]uint32, m.geom.M),
+		k:     m.geom.K,
+		wpv:   m.wordsPerVec,
+		shift: uint(32 - m.prefixBits),
 	}, nil
 }
 
@@ -166,20 +160,7 @@ func (fp *FastPath) ProbeSectionTagged(sec int, pair packet.SocketPair, dir pack
 	// bytes and geometry), so it happens once, outside the retry loop.
 	// Inbound packets probe the inverse tuple σ̄, exactly as the filter
 	// does.
-	var key []byte
-	if dir == packet.Outbound {
-		key = fp.enc.Outbound(pair)
-	} else {
-		key = fp.enc.Inbound(pair)
-	}
-	switch {
-	case fp.blocked:
-		fp.sums = fp.fam.AppendBlocked(fp.sums[:0], fp.fam.Sum64(key))
-	case fp.oneShot:
-		fp.sums = fp.fam.AppendDerived(fp.sums[:0], fp.fam.Sum64(key))
-	default:
-		fp.sums = fp.fam.Sum(fp.sums[:0], key)
-	}
+	fp.ix.Into(fp.sums, pair, dir)
 	w := fp.m.words
 	base := fp.m.sectionBase(sec)
 	for {

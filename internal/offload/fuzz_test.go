@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -132,6 +133,30 @@ func FuzzOffloadMap(f *testing.F) {
 			t.Fatalf("round-tripped image rejected: %v", err)
 		}
 	})
+}
+
+// TestOffloadFuzzCorpusCurrent pins the map bytes themselves: every
+// seed checked in under testdata/fuzz/FuzzOffloadMap equals what the
+// code writes today for the same filters, so a change to how the map
+// derives or stores bits cannot change the format unnoticed.
+func TestOffloadFuzzCorpusCurrent(t *testing.T) {
+	for name, want := range fuzzMapSeeds(t) {
+		body, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzOffloadMap", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(string(body), "go test fuzz v1\n[]byte(")
+		if !ok {
+			t.Fatalf("%s: not a one-value corpus file", name)
+		}
+		got, err := strconv.Unquote(strings.TrimSuffix(quoted, ")\n"))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal([]byte(got), want) {
+			t.Errorf("%s: written bytes differ from the checked-in corpus", name)
+		}
+	}
 }
 
 // TestRegenOffloadFuzzCorpus rewrites the checked-in seed corpus so a

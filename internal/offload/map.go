@@ -7,23 +7,23 @@
 // thresholds, and rotation.
 //
 // The export is a single contiguous buffer of 64-bit words: a header
-// carrying the full filter geometry (k, n, m, hash kind/scheme/layout,
-// hole punching), a directory of per-tenant sections keyed by route
-// key and BMTM tenant-id hash, and per section a small header plus the
-// raw bit-vector words of all k vectors. Coherence is by seqlock, not
-// locking: each section has a generation word that its single writer
-// makes odd before mutating and even after, and a reader retries
-// whenever it observes an odd or changed generation — so a probe never
-// sees a torn rotation (a current-index bump paired with a half-cleared
-// vector). Steady-state publication is incremental: each vector keeps a
-// dirty bit per 512-bit block, set when a mark adds a bit, and a
-// publish compares and rewrites only the blocks marked since that
-// section's last publish (bitvec.Vector.Sync), so export cost follows
-// the blocks that changed, not the filter size. A vector the section
-// cannot vouch for — its first publish, the vector a rotation cleared,
-// a filter swapped in by a restore or a tenant rehydration, a vector
-// another map synced since — is compared in full against the section's
-// own words instead.
+// carrying the full filter geometry (k, n, m, hash construction, scheme
+// and layout, hole punching), a directory of per-tenant sections keyed
+// by route key and BMTM tenant-id hash, and per section a small header
+// plus the raw bit-vector words of all k vectors. Coherence is by
+// seqlock, not locking: each section has a generation word that its
+// single writer makes odd before mutating and even after, and a reader
+// retries whenever it observes an odd or changed generation — so a probe
+// never sees a torn rotation (a current-index bump paired with a
+// half-cleared vector). Steady-state publication is incremental: each
+// vector keeps a dirty bit per 512-bit block, set when a mark adds a
+// bit, and a publish compares and rewrites only the blocks marked since
+// that section's last publish (bitvec.Vector.Sync), so export cost
+// follows the blocks that changed, not the filter size. A vector the
+// section cannot vouch for — its first publish, the vector a rotation
+// cleared, a filter swapped in by a restore or a tenant rehydration, a
+// vector another map synced since — is compared in full against the
+// section's own words instead.
 //
 // Escalation contract: the fast path never drops. A probe either Hits
 // (every relevant bit set — pass with no slow-path involvement) or
@@ -52,6 +52,10 @@ const (
 	// little-endian.
 	mapMagic   = 0x31444c464f503250
 	mapVersion = 1
+	// mapHash is the hash construction byte of the geometry word (bits
+	// 40–47). The library has one construction, FNV-double, which the
+	// format numbers 1; a reader rejects any other value.
+	mapHash = 1
 
 	// headerWords is the fixed map header: magic, version, packed
 	// geometry, words per vector, section count, prefix bits, and two
@@ -118,37 +122,29 @@ var (
 
 // Geometry is the filter shape a flat map carries, self-describing
 // enough for a consumer to derive the exact bit indexes the Go filter
-// derives: hash kind, index-derivation scheme, bit layout, and the
-// hole-punch key mode all change which bits a socket pair maps to.
+// derives: index-derivation scheme, bit layout, and the hole-punch key
+// mode all change which bits a socket pair maps to. The hash
+// construction is fixed, and the map records it too (mapHash).
 type Geometry struct {
 	K         int
 	NBits     uint
 	M         int
-	Kind      hashes.Kind
 	Scheme    hashes.Scheme
 	Layout    hashes.Layout
 	HolePunch bool
 }
 
 // GeometryOf extracts the resolved geometry of a core configuration.
+// An unresolvable combination cannot have built a filter; its raw
+// values are kept, and NewMap's validation reports them.
 func GeometryOf(cfg core.Config) Geometry {
-	kind := cfg.HashKind
-	if kind == 0 {
-		kind = hashes.FNVDouble
-	}
-	scheme, layout, err := hashes.ResolveSchemeLayout(cfg.HashScheme, cfg.Layout)
-	if err != nil {
-		// An unresolvable combination cannot have built a filter; keep
-		// the raw values and let NewMap's validation report it.
-		scheme, layout = cfg.HashScheme, cfg.Layout
-	}
+	cfg, _ = cfg.Resolve()
 	return Geometry{
 		K:         cfg.K,
 		NBits:     cfg.NBits,
 		M:         cfg.M,
-		Kind:      kind,
-		Scheme:    scheme,
-		Layout:    layout,
+		Scheme:    cfg.HashScheme,
+		Layout:    cfg.Layout,
 		HolePunch: cfg.HolePunch,
 	}
 }
@@ -160,7 +156,7 @@ func (g Geometry) pack() uint64 {
 	w := uint64(uint16(g.K))
 	w |= uint64(uint8(g.NBits)) << 16
 	w |= uint64(uint16(g.M)) << 24
-	w |= uint64(uint8(g.Kind)) << 40
+	w |= uint64(mapHash) << 40
 	w |= uint64(uint8(g.Scheme)) << 48
 	w |= uint64(uint8(g.Layout)) << 56 & (0xf << 56)
 	if g.HolePunch {
@@ -169,24 +165,28 @@ func (g Geometry) pack() uint64 {
 	return w
 }
 
-// unpackGeometry decodes the geometry header word.
+// unpackGeometry decodes the geometry header word, rejecting a hash
+// construction other than mapHash.
 //
 //p2p:codec offloadmap decode
-func unpackGeometry(w uint64) Geometry {
+func unpackGeometry(w uint64) (Geometry, error) {
+	if h := uint8(w >> 40); h != mapHash {
+		return Geometry{}, errfmt.Detail("offload: hash construction "+strconv.Itoa(int(h)), ErrMapGeometry)
+	}
 	return Geometry{
 		K:         int(uint16(w)),
 		NBits:     uint(uint8(w >> 16)),
 		M:         int(uint16(w >> 24)),
-		Kind:      hashes.Kind(uint8(w >> 40)),
 		Scheme:    hashes.Scheme(uint8(w >> 48)),
 		Layout:    hashes.Layout(uint8(w>>56) & 0xf),
 		HolePunch: w&(1<<60) != 0,
-	}
+	}, nil
 }
 
-// validate checks the geometry against the caps and the hash package's
-// own rules, returning the family a fast path would probe with.
-func (g Geometry) validate() (*hashes.Family, error) {
+// validate checks the geometry against the caps and core's own rules,
+// returning the indexer a fast path probes with: the one the filter
+// derives its marks with.
+func (g Geometry) validate() (*core.Indexer, error) {
 	if g.K < 1 || g.K > maxMapK {
 		return nil, errfmt.Detail("offload: k="+strconv.Itoa(g.K), ErrMapGeometry)
 	}
@@ -196,17 +196,17 @@ func (g Geometry) validate() (*hashes.Family, error) {
 	if g.NBits < 1 || g.NBits > 32 {
 		return nil, errfmt.Detail("offload: nbits="+strconv.FormatUint(uint64(g.NBits), 10), ErrMapGeometry)
 	}
-	scheme, layout, err := hashes.ResolveSchemeLayout(g.Scheme, g.Layout)
-	if err != nil || scheme != g.Scheme || layout != g.Layout {
+	cfg := core.Config{K: g.K, NBits: g.NBits, M: g.M, HashScheme: g.Scheme, Layout: g.Layout, HolePunch: g.HolePunch}
+	if resolved, err := cfg.Resolve(); err != nil || resolved != cfg {
 		// The map must carry the resolved values: a consumer cannot be
 		// asked to re-run default resolution to know what to probe.
 		return nil, errfmt.Detail("offload: scheme/layout", ErrMapGeometry)
 	}
-	fam, err := hashes.NewFamily(g.Kind, g.M, g.NBits)
+	ix, err := core.NewIndexer(cfg)
 	if err != nil {
 		return nil, errfmt.Detail("offload: "+err.Error(), ErrMapGeometry)
 	}
-	return fam, nil
+	return ix, nil
 }
 
 // vecWords returns the number of 64-bit words per bit vector.
@@ -223,7 +223,6 @@ func (g Geometry) vecWords() int {
 type Map struct {
 	words       []uint64
 	geom        Geometry
-	fam         *hashes.Family
 	wordsPerVec int
 	secWords    int
 	prefixBits  int
@@ -239,8 +238,7 @@ type Map struct {
 // (32−prefixBits)), enabling routed section lookup; zero means the
 // caller addresses sections by index (single-filter or per-shard use).
 func NewMap(g Geometry, sections, prefixBits int) (*Map, error) {
-	fam, err := g.validate()
-	if err != nil {
+	if _, err := g.validate(); err != nil {
 		return nil, err
 	}
 	if sections < 1 || sections > maxMapSections {
@@ -255,7 +253,6 @@ func NewMap(g Geometry, sections, prefixBits int) (*Map, error) {
 	m := &Map{
 		words:       make([]uint64, total),
 		geom:        g,
-		fam:         fam,
 		wordsPerVec: wpv,
 		secWords:    secWords,
 		prefixBits:  prefixBits,

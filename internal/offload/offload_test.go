@@ -14,7 +14,7 @@ import (
 // offloadConfigs spans every index-derivation path a map must describe:
 // the classic per-index family, the one-shot derived scheme, the
 // blocked cache-line layout, and hole punching (which changes the key
-// bytes, not the hashing).
+// bytes, not the hashing) on both schemes.
 func offloadConfigs() map[string]core.Config {
 	return map[string]core.Config{
 		"classic": {K: 3, NBits: 12, M: 4, DeltaT: time.Second, Seed: 1},
@@ -25,8 +25,8 @@ func offloadConfigs() map[string]core.Config {
 		"holepunch": {K: 3, NBits: 12, M: 4, DeltaT: time.Second, Seed: 1,
 			HolePunch: true},
 		"subword": {K: 2, NBits: 5, M: 2, DeltaT: time.Second, Seed: 1},
-		"jenkins": {K: 4, NBits: 10, M: 3, DeltaT: time.Second, Seed: 1,
-			HashKind: hashes.Jenkins},
+		"oneshot-holepunch": {K: 4, NBits: 10, M: 3, DeltaT: time.Second, Seed: 1,
+			HashScheme: hashes.SchemeOneShot, HolePunch: true},
 	}
 }
 
@@ -49,8 +49,13 @@ func testPairs(n int) []packet.SocketPair {
 func TestGeometryPackRoundTrip(t *testing.T) {
 	for name, cfg := range offloadConfigs() {
 		g := GeometryOf(cfg)
-		if got := unpackGeometry(g.pack()); got != g {
-			t.Errorf("%s: pack/unpack mismatch: %+v != %+v", name, got, g)
+		w := g.pack()
+		if got, err := unpackGeometry(w); err != nil || got != g {
+			t.Errorf("%s: pack/unpack mismatch: %+v, %v != %+v", name, got, err, g)
+		}
+		// The construction byte the format has always carried.
+		if c := uint8(w >> 40); c != 1 {
+			t.Errorf("%s: hash construction byte %d, want 1", name, c)
 		}
 		if _, err := g.validate(); err != nil {
 			t.Errorf("%s: validate: %v", name, err)
@@ -67,11 +72,11 @@ func TestNewMapRejects(t *testing.T) {
 		prefix   int
 		want     error
 	}{
-		{"zero k", Geometry{NBits: 8, M: 2, Kind: hashes.FNVDouble, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
-		{"huge m", Geometry{K: 2, NBits: 8, M: maxMapM + 1, Kind: hashes.FNVDouble, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
-		{"nbits 0", Geometry{K: 2, M: 2, Kind: hashes.FNVDouble, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
-		{"unresolved scheme", Geometry{K: 2, NBits: 8, M: 2, Kind: hashes.FNVDouble, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
-		{"blocked perindex", Geometry{K: 2, NBits: 8, M: 2, Kind: hashes.FNVDouble, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutBlocked}, 1, 0, ErrMapGeometry},
+		{"zero k", Geometry{NBits: 8, M: 2, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
+		{"huge m", Geometry{K: 2, NBits: 8, M: maxMapM + 1, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
+		{"nbits 0", Geometry{K: 2, M: 2, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
+		{"unresolved scheme", Geometry{K: 2, NBits: 8, M: 2, Layout: hashes.LayoutClassic}, 1, 0, ErrMapGeometry},
+		{"blocked perindex", Geometry{K: 2, NBits: 8, M: 2, Scheme: hashes.SchemePerIndex, Layout: hashes.LayoutBlocked}, 1, 0, ErrMapGeometry},
 		{"zero sections", good, 0, 0, ErrMapGeometry},
 		{"too many sections", good, maxMapSections + 1, 0, ErrMapGeometry},
 		{"prefix too wide", good, 1, 33, ErrMapGeometry},
@@ -350,7 +355,9 @@ func TestOpenBytesRejects(t *testing.T) {
 		{"trailing junk", append(append([]byte(nil), img...), make([]byte, 8)...), ErrMapTruncated},
 		{"bad magic", put(img, hdrMagic, 0xdead), ErrMapMagic},
 		{"bad version", put(img, hdrVersion, 99), ErrMapVersion},
-		{"geometry lie k=0", put(img, hdrGeom, unpackGeometryZeroK(img)), ErrMapGeometry},
+		{"geometry lie k=0", put(img, hdrGeom, geomWord(img)&^0xffff), ErrMapGeometry},
+		{"hash construction 0", put(img, hdrGeom, geomWord(img)&^(0xff<<40)), ErrMapGeometry},
+		{"hash construction 2", put(img, hdrGeom, geomWord(img)&^(0xff<<40)|2<<40), ErrMapGeometry},
 		{"vecwords lie", put(img, hdrVecWords, 7), ErrMapGeometry},
 		{"sections lie", put(img, hdrSections, 3), ErrMapTruncated},
 		{"prefix lie", put(img, hdrPrefix, 40), ErrMapGeometry},
@@ -385,14 +392,14 @@ func TestOpenBytesRejects(t *testing.T) {
 	}
 }
 
-// unpackGeometryZeroK rewrites an image's geometry word with K forced
-// to zero, keeping the rest intact — a "geometry lies" mutation.
-func unpackGeometryZeroK(img []byte) uint64 {
+// geomWord returns an image's geometry word, for "geometry lies"
+// mutations that rewrite one field and keep the rest intact.
+func geomWord(img []byte) uint64 {
 	var w uint64
 	for i := 0; i < 8; i++ {
 		w |= uint64(img[hdrGeom*8+i]) << (8 * i)
 	}
-	return w &^ 0xffff
+	return w
 }
 
 func TestMissRing(t *testing.T) {

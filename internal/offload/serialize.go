@@ -69,9 +69,11 @@ func OpenBytes(data []byte) (*Map, error) {
 	if v := word(hdrVersion); v != mapVersion {
 		return nil, errfmt.Detail("offload: version "+strconv.FormatUint(v, 10), ErrMapVersion)
 	}
-	g := unpackGeometry(word(hdrGeom))
-	fam, err := g.validate()
+	g, err := unpackGeometry(word(hdrGeom))
 	if err != nil {
+		return nil, err
+	}
+	if _, err := g.validate(); err != nil {
 		return nil, err
 	}
 	wpv := g.vecWords()
@@ -97,7 +99,6 @@ func OpenBytes(data []byte) (*Map, error) {
 	m := &Map{
 		words:       make([]uint64, total),
 		geom:        g,
-		fam:         fam,
 		wordsPerVec: wpv,
 		secWords:    secWords,
 		prefixBits:  int(prefixBits),

@@ -9,9 +9,9 @@ import (
 
 // TestKeyWordsMatchBytes property: KeyWords/HolePunchKeyWords must equal
 // the little-endian loads of bytes [0,8) and [len-8,len) of the
-// canonical key encodings — the identity that lets the batch hash loop
-// consume socket-pair fields directly while the per-packet path hashes
-// encoder bytes, with both provably deriving identical indexes.
+// canonical key encodings — the identity that lets the one-shot hash
+// consume socket-pair fields directly and still hash exactly the key
+// bytes.
 func TestKeyWordsMatchBytes(t *testing.T) {
 	f := func(proto uint8, sa, da uint32, sp, dp uint16) bool {
 		s := SocketPair{Proto: Proto(proto), SrcAddr: Addr(sa), SrcPort: sp, DstAddr: Addr(da), DstPort: dp}
@@ -43,24 +43,6 @@ func TestKeyEncoderMatchesAppendKey(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestKeyEncoderInboundMatchesOutbound property: an inbound packet's key
-// equals the key of the outbound flow it answers (the inverse tuple), in
-// both full and hole-punch modes — the identity the bitmap filter's
-// admit-on-match semantics rest on.
-func TestKeyEncoderInboundMatchesOutbound(t *testing.T) {
-	for _, holePunch := range []bool{false, true} {
-		in := NewKeyEncoder(holePunch)
-		out := NewKeyEncoder(holePunch)
-		f := func(proto uint8, sa, da uint32, sp, dp uint16) bool {
-			o := SocketPair{Proto: Proto(proto), SrcAddr: Addr(sa), SrcPort: sp, DstAddr: Addr(da), DstPort: dp}
-			return bytes.Equal(in.Inbound(o.Inverse()), out.Outbound(o))
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Fatalf("holePunch=%v: %v", holePunch, err)
-		}
 	}
 }
 

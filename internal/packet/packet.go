@@ -196,14 +196,13 @@ func (s SocketPair) PutHolePunchKey(dst *[HolePunchKeySize]byte) {
 	dst[7], dst[8], dst[9], dst[10] = byte(s.DstAddr>>24), byte(s.DstAddr>>16), byte(s.DstAddr>>8), byte(s.DstAddr)
 }
 
-// KeyEncoder encodes socket pairs into a reusable fixed buffer — the
-// single shared encoder behind every filter's hash key construction, so
-// the one-shot hash and the per-index family provably consume identical
-// key bytes. The hole-punch encoding is exactly the first
-// HolePunchKeySize bytes of the full encoding (the remote port is the
-// trailing field), so one buffer serves both modes; Outbound and
-// Inbound return a slice of the encoder's own storage, valid until the
-// next call.
+// KeyEncoder encodes socket pairs into a reusable fixed buffer: the key
+// bytes the per-index hash family walks (the one-shot hash reads the
+// same bytes as KeyWords, without the buffer). The hole-punch encoding
+// is exactly the first HolePunchKeySize bytes of the full encoding (the
+// remote port is the trailing field), so one buffer serves both modes;
+// Outbound returns a slice of the encoder's own storage, valid until
+// the next call.
 type KeyEncoder struct {
 	buf       [KeySize]byte
 	holePunch bool
@@ -228,21 +227,10 @@ func (e *KeyEncoder) Outbound(pair SocketPair) []byte {
 	return e.buf[:KeySize]
 }
 
-// Inbound encodes the hash key of an inbound packet's socket pair: the
-// inverse tuple σ̄, whose encoding coincides with the matching outbound
-// key in both full and hole-punch modes ({proto, daddr, dport, saddr}
-// of the inbound packet equals {proto, saddr, sport, daddr} of the
-// outbound one).
-//
-//p2p:hotpath
-func (e *KeyEncoder) Inbound(pair SocketPair) []byte {
-	return e.Outbound(pair.Inverse())
-}
-
 // KeyWords returns the full-tuple key as the two overlapping words the
 // one-shot hash consumes: a and b are the little-endian loads of bytes
 // [0,8) and [5,13) of the PutKey encoding, computed directly from the
-// fields. The batch hash loop uses this instead of encoding the key
+// fields. core.Indexer hashes these instead of encoding the key
 // into a buffer and loading it back — the byte stores of PutKey and the
 // misaligned overlapping loads of the hash defeat store-to-load
 // forwarding, so the round trip costs more than the hash itself.

@@ -6,7 +6,6 @@ import (
 
 	"p2pbound/internal/bitvec"
 	"p2pbound/internal/core"
-	"p2pbound/internal/hashes"
 )
 
 // Config parameterizes one fleet member.
@@ -198,21 +197,17 @@ func NewNode(f *core.Filter, cfg Config) (*Node, error) {
 // nodes merge state only when their fingerprints agree, so a delta
 // can never be interpreted against mismatched vector shapes. Seed and
 // timing tolerances are deliberately excluded — they do not change
-// where a key's bits land... except Seed under the paper's shared-hash
-// design, where hashing is seed-independent (FNV et al. take no seed).
+// where a key's bits land: under the paper's shared-hash design,
+// hashing is seed-independent (the FNV-double construction takes no
+// seed).
 func Fingerprint(cfg core.Config) uint64 {
-	scheme, layout, err := hashes.ResolveSchemeLayout(cfg.HashScheme, cfg.Layout)
-	if err != nil {
-		scheme, layout = cfg.HashScheme, cfg.Layout
-	}
-	kind := cfg.HashKind
-	if kind == 0 {
-		kind = hashes.FNVDouble
-	}
+	cfg, _ = cfg.Resolve()
 	fields := [...]uint64{
-		uint64(cfg.K), uint64(cfg.NBits), uint64(cfg.M),
-		uint64(cfg.DeltaT), uint64(kind), uint64(scheme), uint64(layout),
-		uint64(b2i(cfg.HolePunch)),
+		uint64(cfg.K), uint64(cfg.NBits), uint64(cfg.M), uint64(cfg.DeltaT),
+		// The retired hash-kind slot: the one construction, FNV-double,
+		// was kind 1, and keeping it keeps every fleet fingerprint.
+		1,
+		uint64(cfg.HashScheme), uint64(cfg.Layout), uint64(b2i(cfg.HolePunch)),
 	}
 	// FNV-1a over the field words: stable, dependency-free, and more
 	// than enough to catch accidental config drift.

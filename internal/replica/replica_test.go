@@ -145,7 +145,7 @@ func TestFingerprint(t *testing.T) {
 		func(c *core.Config) { c.NBits = 13 },
 		func(c *core.Config) { c.M = 4 },
 		func(c *core.Config) { c.DeltaT = 2 * time.Second },
-		func(c *core.Config) { c.HashKind = hashes.FNVDouble + 1 },
+		func(c *core.Config) { c.HashScheme = hashes.SchemeOneShot },
 		func(c *core.Config) { c.Layout = hashes.LayoutBlocked },
 		func(c *core.Config) { c.HolePunch = true },
 	}
@@ -163,12 +163,34 @@ func TestFingerprint(t *testing.T) {
 	if Fingerprint(c) != base {
 		t.Fatal("seed/tolerance changed the fingerprint")
 	}
-	// The zero HashKind resolves to FNVDouble, and the resolved scheme
-	// matches the explicit one.
+	// The zero scheme and layout resolve to their explicit defaults.
 	c = testCfg()
-	c.HashKind = hashes.FNVDouble
+	c.HashScheme, c.Layout = hashes.SchemePerIndex, hashes.LayoutClassic
 	if Fingerprint(c) != base {
-		t.Fatal("explicit FNVDouble fingerprint differs from default")
+		t.Fatal("explicit default scheme/layout fingerprint differs from zero values")
+	}
+}
+
+// TestFingerprintGolden pins fleet fingerprints across releases: nodes
+// of different builds merge state only while these values hold.
+func TestFingerprintGolden(t *testing.T) {
+	base := core.Config{K: 4, NBits: 20, M: 3, DeltaT: 5 * time.Second}
+	blocked := base
+	blocked.NBits, blocked.Layout = 26, hashes.LayoutBlocked
+	oneShotHP := base
+	oneShotHP.HashScheme, oneShotHP.HolePunch = hashes.SchemeOneShot, true
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		want uint64
+	}{
+		{"paper", base, 0xcef2e8db264c813f},
+		{"blocked-2^26", blocked, 0xd157445e825603c1},
+		{"oneshot-holepunch", oneShotHP, 0x2949db184da7b07d},
+	} {
+		if got := Fingerprint(tc.cfg); got != tc.want {
+			t.Errorf("%s: fingerprint %016x, want %016x", tc.name, got, tc.want)
+		}
 	}
 }
 

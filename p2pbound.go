@@ -797,18 +797,12 @@ var ErrGeometryMismatch = errors.New("snapshot geometry mismatch")
 
 // geometryMismatch compares the geometry-bearing fields of two filter
 // configurations, ignoring operational knobs (seed, reorder tolerance).
-// Zero HashKind, HashScheme, and Layout mean the default construction,
-// so they are normalized before comparing — snapshots always store the
-// resolved values.
+// Zero HashScheme and Layout mean the default derivation, so both sides
+// are resolved before comparing — snapshots always store the resolved
+// values.
 func geometryMismatch(want, got core.Config) error {
-	if want.HashKind == 0 {
-		want.HashKind = hashes.FNVDouble
-	}
-	if got.HashKind == 0 {
-		got.HashKind = hashes.FNVDouble
-	}
-	want.HashScheme, want.Layout, _ = hashes.ResolveSchemeLayout(want.HashScheme, want.Layout)
-	got.HashScheme, got.Layout, _ = hashes.ResolveSchemeLayout(got.HashScheme, got.Layout)
+	want, _ = want.Resolve()
+	got, _ = got.Resolve()
 	switch {
 	case want.K != got.K:
 		return fmt.Errorf("%w: k=%d, configured k=%d", ErrGeometryMismatch, got.K, want.K)
@@ -818,8 +812,6 @@ func geometryMismatch(want, got core.Config) error {
 		return fmt.Errorf("%w: m=%d, configured m=%d", ErrGeometryMismatch, got.M, want.M)
 	case want.DeltaT != got.DeltaT:
 		return fmt.Errorf("%w: Δt=%v, configured Δt=%v", ErrGeometryMismatch, got.DeltaT, want.DeltaT)
-	case want.HashKind != got.HashKind:
-		return fmt.Errorf("%w: hash kind %d, configured %d", ErrGeometryMismatch, got.HashKind, want.HashKind)
 	case want.HashScheme != got.HashScheme:
 		return fmt.Errorf("%w: hash scheme %v, configured %v", ErrGeometryMismatch, got.HashScheme, want.HashScheme)
 	case want.Layout != got.Layout:

@@ -2,13 +2,17 @@ package p2pbound
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"p2pbound/internal/core"
 )
 
 // fuzzTenantManager builds the small fixed manager every fuzz execution
@@ -203,6 +207,62 @@ func TestTenantFuzzCorpusCurrent(t *testing.T) {
 		if !bytes.Equal([]byte(data), seeds[name]) {
 			t.Errorf("%s: saved bytes differ from the checked-in corpus", name)
 		}
+	}
+}
+
+// TestTenantSnapshotRejectsV1Bitmap: a frame whose embedded filter is a
+// version-1 core stream fails the whole restore as a corrupt frame
+// whose cause is core.ErrSnapshotVersion, and leaves the manager as it
+// was.
+func TestTenantSnapshotRejectsV1Bitmap(t *testing.T) {
+	m := fuzzTenantManager(t)
+	var before bytes.Buffer
+	if err := m.SaveTenantState(&before); err != nil {
+		t.Fatal(err)
+	}
+	frames, prefixBits, err := decodeTenantSnapshot(before.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var body bytes.Buffer
+	body.Write(before.Bytes()[:16])
+	rewritten := 0
+	for i := range frames {
+		fr := &frames[i]
+		if fr.flags&tenantFlagBitmap != 0 {
+			// The v1 form: the v2 header with version 1, then the bare
+			// vectors, with no frames and no checksum.
+			f, err := core.ReadFilter(bytes.NewReader(fr.bitmap))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var v1 bytes.Buffer
+			v1.Write(fr.bitmap[:56])
+			binary.LittleEndian.PutUint32(v1.Bytes()[4:], 1)
+			for v := 0; v < f.VectorCount(); v++ {
+				if _, err := f.Vector(v).WriteTo(&v1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fr.bitmap = v1.Bytes()
+			rewritten++
+		}
+		appendTenantFrame(&body, fr)
+	}
+	if rewritten == 0 || prefixBits != 24 {
+		t.Fatalf("fixture has %d bitmaps at /%d", rewritten, prefixBits)
+	}
+	stream := binary.LittleEndian.AppendUint32(body.Bytes(), crc32.Checksum(body.Bytes(), tenantCastagnoli))
+	err = m.RestoreTenantState(bytes.NewReader(stream))
+	if !errors.Is(err, ErrTenantSnapshotCorrupt) || !errors.Is(err, core.ErrSnapshotVersion) {
+		t.Fatalf("restore of a v1 bitmap: err=%v, want %v and %v", err, ErrTenantSnapshotCorrupt, core.ErrSnapshotVersion)
+	}
+	var after bytes.Buffer
+	if err := m.SaveTenantState(&after); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before.Bytes(), after.Bytes()) {
+		t.Fatal("rejected restore mutated tenant state")
 	}
 }
 

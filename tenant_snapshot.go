@@ -48,7 +48,9 @@ const (
 // Typed sentinels for tenant snapshot decoding, matchable with
 // errors.Is. A failed RestoreTenantState always unwraps to exactly one
 // of these (or to ErrGeometryMismatch for a prefix-width or embedded
-// filter geometry conflict) and leaves the manager untouched.
+// filter geometry conflict) and leaves the manager untouched. An
+// embedded filter the core reader rejects is ErrTenantSnapshotCorrupt
+// and also unwraps to the core.ErrSnapshot* cause.
 var (
 	// ErrTenantSnapshotMagic: the stream does not begin with the tenant
 	// snapshot magic — not a tenant snapshot at all.
@@ -253,7 +255,8 @@ func (m *TenantManager) RestoreTenantState(r io.Reader) error {
 		if fr.flags&tenantFlagBitmap != 0 {
 			f, err := core.ReadFilter(bytes.NewReader(fr.bitmap))
 			if err != nil {
-				return errfmt.Detail("p2pbound: restore tenant state: tenant "+fr.id+" bitmap: "+err.Error(), ErrTenantSnapshotCorrupt)
+				// The frame is corrupt, and the core sentinel says why.
+				return errfmt.Detail("p2pbound: restore tenant state: tenant "+fr.id+" bitmap: "+err.Error(), errors.Join(ErrTenantSnapshotCorrupt, err))
 			}
 			if err := geometryMismatch(m.coreCfg, f.Config()); err != nil {
 				return fmt.Errorf("p2pbound: restore tenant state: tenant %q: %w", fr.id, err)
