@@ -38,16 +38,19 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzTenantSnapshot -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz FuzzOffloadMap -fuzztime 10s ./internal/offload
 
-# bench runs the root-package benchmarks at a stable benchtime and
-# records them as BENCH_p2pbound.json via cmd/benchjson. The committed
-# report is the before/after evidence for hot-path performance work;
-# regenerate it on a quiet machine and commit the result.
+# bench runs the root-package benchmarks six times each at a stable
+# benchtime and records them as BENCH_p2pbound.json via cmd/benchjson,
+# which keeps each benchmark's median, ns/op quartiles and GOMAXPROCS.
+# The committed report is the before/after evidence for hot-path
+# performance work; regenerate it on a quiet machine and commit the
+# result.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 2s . | $(GO) run ./cmd/benchjson -o BENCH_p2pbound.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 2s -count 6 . | $(GO) run ./cmd/benchjson -o BENCH_p2pbound.json
 
 # bench-smoke is the CI form: a fixed tiny iteration count proves the
-# benchmarks still run and the JSON pipeline still parses, without
-# pretending a shared runner produces meaningful timings.
+# benchmarks still run and the JSON pipeline still parses and folds
+# repeated runs, without pretending a shared runner produces meaningful
+# timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadProbe|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
+	$(GO) test -run '^$$' -bench 'BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadProbe|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x -count 2 . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
 	rm -f BENCH_smoke.json

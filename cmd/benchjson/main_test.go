@@ -69,3 +69,42 @@ func TestParseSkipsNonResultBenchmarkLines(t *testing.T) {
 		t.Fatalf("got %+v", rep.Benchmarks)
 	}
 }
+
+// TestParseFoldsRepeatedRuns pins the -count fold: one entry per
+// benchmark in first-appearance order, medians and ns/op quartiles over
+// its runs, the run count, and GOMAXPROCS from the name suffix.
+func TestParseFoldsRepeatedRuns(t *testing.T) {
+	in := `cpu: test
+BenchmarkA-2   	 100	 40.0 ns/op	 10.0 packets/sec	 8 B/op	 1 allocs/op
+BenchmarkA-2   	 300	 10.0 ns/op	 30.0 packets/sec	 8 B/op	 1 allocs/op
+BenchmarkB-2   	 7	 5.0 ns/op
+BenchmarkA-2   	 200	 20.0 ns/op	 20.0 packets/sec	 8 B/op	 1 allocs/op
+BenchmarkA-2   	 400	 30.0 ns/op	 40.0 packets/sec	 16 B/op	 3 allocs/op
+BenchmarkA-4   	 50	 99.0 ns/op	 1.0 packets/sec	 8 B/op	 1 allocs/op
+`
+	rep, err := parse(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 3 {
+		t.Fatalf("got %d entries, want 3: %+v", len(rep.Benchmarks), rep.Benchmarks)
+	}
+	a, b, a4 := rep.Benchmarks[0], rep.Benchmarks[1], rep.Benchmarks[2]
+	if a.Name != "BenchmarkA" || a.GOMAXPROCS != 2 || a.Runs != 4 {
+		t.Fatalf("A: %+v", a)
+	}
+	// ns/op 10, 20, 30, 40: median 25, quartiles 17.5 and 32.5.
+	if a.NsPerOp != 25 || a.NsPerOpQ1 != 17.5 || a.NsPerOpQ3 != 32.5 {
+		t.Fatalf("A ns/op median %v [%v, %v], want 25 [17.5, 32.5]", a.NsPerOp, a.NsPerOpQ1, a.NsPerOpQ3)
+	}
+	if a.Iterations != 250 || *a.BytesPerOp != 8 || *a.AllocsPerOp != 1 || a.Extra["packets/sec"] != 25 {
+		t.Fatalf("A medians: %+v extra %v", a, a.Extra)
+	}
+	// A single run keeps its values and gets no spread fields.
+	if b.Name != "BenchmarkB" || b.Runs != 0 || b.NsPerOp != 5 || b.NsPerOpQ1 != 0 || b.Iterations != 7 {
+		t.Fatalf("B: %+v", b)
+	}
+	if a4.Name != "BenchmarkA" || a4.GOMAXPROCS != 4 || a4.NsPerOp != 99 {
+		t.Fatalf("A-4: %+v", a4)
+	}
+}

@@ -70,7 +70,9 @@ type FleetConfig struct {
 // processing is in flight (a batch barrier). Members that have not
 // completed their first full digest round run fail-closed (P_d = 1).
 type Fleet struct {
-	limiters  []*Limiter
+	// members is the replica set, built like NewSharded's shards but
+	// with the complete thresholds.
+	members   *ShardedLimiter
 	nodes     []*replica.Node
 	transport FleetTransport
 }
@@ -84,25 +86,20 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 	if fc.Replicas <= 0 {
 		return nil, fmt.Errorf("p2pbound: fleet size must be positive, got %d", fc.Replicas)
 	}
-	fl := &Fleet{transport: fc.Transport}
+	members, err := newLimiterSet(cfg, fc.Replicas)
+	if err != nil {
+		return nil, err
+	}
+	fl := &Fleet{members: members, transport: fc.Transport}
 	if fl.transport == nil {
 		fl.transport = &loopback{queues: make([][][]byte, fc.Replicas)}
 	}
-	ids := make([]uint32, fc.Replicas)
-	for i := range ids {
-		ids[i] = uint32(i + 1) // replica IDs are 1-based on the wire
-	}
-	for i := 0; i < fc.Replicas; i++ {
-		memberCfg := cfg
-		memberCfg.Seed = cfg.Seed + uint64(i)
-		l, err := New(memberCfg)
-		if err != nil {
-			return nil, err
-		}
+	for i, l := range members.shards {
+		id := uint32(i + 1) // replica IDs are 1-based on the wire
 		peers := make([]uint32, 0, fc.Replicas-1)
-		for _, id := range ids {
-			if id != ids[i] {
-				peers = append(peers, id)
+		for p := uint32(1); p <= uint32(fc.Replicas); p++ {
+			if p != id {
+				peers = append(peers, p)
 			}
 		}
 		// The node owns the limiter's current filter; fleet members
@@ -110,7 +107,7 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 		// out from under the node). Restore-by-snapshot is a single-box
 		// workflow — a fleet member rejoins empty and heals via repair.
 		node, err := replica.NewNode(l.filter.Load(), replica.Config{
-			ID:           ids[i],
+			ID:           id,
 			Peers:        peers,
 			DigestEvery:  fc.DigestEvery,
 			SuspectAfter: fc.SuspectAfter,
@@ -119,7 +116,6 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 			return nil, err
 		}
 		l.SetFailClosed(!node.Ready())
-		fl.limiters = append(fl.limiters, l)
 		fl.nodes = append(fl.nodes, node)
 	}
 	if cfg.Telemetry != nil {
@@ -129,7 +125,7 @@ func NewFleet(cfg Config, fc FleetConfig) (*Fleet, error) {
 }
 
 // Replicas returns the fleet size.
-func (fl *Fleet) Replicas() int { return len(fl.limiters) }
+func (fl *Fleet) Replicas() int { return fl.members.Shards() }
 
 // ReplicaOf returns the member index packet p belongs to, by the same
 // order-independent connection hash ShardedLimiter uses, so a test or
@@ -137,25 +133,18 @@ func (fl *Fleet) Replicas() int { return len(fl.limiters) }
 // directions of a connection on the same member. Real deployments
 // route by topology instead; any member gives the same verdict after
 // convergence. Unroutable packets map to replica 0.
-func (fl *Fleet) ReplicaOf(p Packet) int {
-	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
-		return 0
-	}
-	return int(connHash(p) % uint64(len(fl.limiters)))
-}
+func (fl *Fleet) ReplicaOf(p Packet) int { return fl.members.ShardOf(p) }
 
 // ProcessOnReplica decides a packet on member i. The caller must
 // ensure each member index is used from one goroutine at a time, with
 // non-decreasing per-member timestamps, and that Sync is not running.
 func (fl *Fleet) ProcessOnReplica(i int, p Packet) Decision {
-	return fl.limiters[i].Process(p)
+	return fl.members.ProcessOnShard(i, p)
 }
 
 // Process routes the packet to its member and decides it — the
 // single-goroutine convenience form.
-func (fl *Fleet) Process(p Packet) Decision {
-	return fl.ProcessOnReplica(fl.ReplicaOf(p), p)
-}
+func (fl *Fleet) Process(p Packet) Decision { return fl.members.Process(p) }
 
 // Sync runs one replication round: every member emits its pending
 // deltas (and, on its digest cadence, range digests), then drains its
@@ -177,7 +166,7 @@ func (fl *Fleet) Sync() {
 		})
 	}
 	for i, n := range fl.nodes {
-		fl.limiters[i].SetFailClosed(!n.Ready())
+		fl.members.shards[i].SetFailClosed(!n.Ready())
 	}
 }
 
@@ -198,33 +187,13 @@ func (fl *Fleet) ReplicaMetrics(i int) replica.Metrics { return fl.nodes[i].Metr
 
 // Limiter returns member i's limiter, for stats and state inspection.
 // Do not call RestoreState/AdoptState on a fleet member.
-func (fl *Fleet) Limiter(i int) *Limiter { return fl.limiters[i] }
+func (fl *Fleet) Limiter(i int) *Limiter { return fl.members.shards[i] }
 
 // MemoryBytes returns the total bitmap memory across members.
-func (fl *Fleet) MemoryBytes() int {
-	total := 0
-	for _, l := range fl.limiters {
-		total += l.MemoryBytes()
-	}
-	return total
-}
+func (fl *Fleet) MemoryBytes() int { return fl.members.MemoryBytes() }
 
 // ExpiryHorizon returns the shared T_e of the members.
-func (fl *Fleet) ExpiryHorizon() time.Duration { return fl.limiters[0].ExpiryHorizon() }
+func (fl *Fleet) ExpiryHorizon() time.Duration { return fl.members.ExpiryHorizon() }
 
 // Stats sums the per-member activity counters.
-func (fl *Fleet) Stats() Stats {
-	var sum Stats
-	for _, l := range fl.limiters {
-		st := l.Stats()
-		sum.OutboundPackets += st.OutboundPackets
-		sum.InboundPackets += st.InboundPackets
-		sum.InboundMatched += st.InboundMatched
-		sum.InboundUnmatched += st.InboundUnmatched
-		sum.Dropped += st.Dropped
-		sum.Rotations += st.Rotations
-		sum.Unroutable += st.Unroutable
-		sum.TimeAnomalies += st.TimeAnomalies
-	}
-	return sum
-}
+func (fl *Fleet) Stats() Stats { return fl.members.Stats() }

@@ -2,7 +2,6 @@ package bitvec
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
 	"unsafe"
 )
@@ -32,9 +31,6 @@ func TestArenaVectorBehavesLikeNew(t *testing.T) {
 
 func TestArenaGeometryRounding(t *testing.T) {
 	a := NewArena(1000, 4)
-	if a.NBits() != 1024 {
-		t.Fatalf("NBits = %d, want 1024", a.NBits())
-	}
 	// Any nbits that rounds to the arena geometry is accepted.
 	v := a.NewVector(1000)
 	if v.Len() != 1024 {
@@ -59,120 +55,35 @@ func TestArenaSpanAlignment(t *testing.T) {
 	}
 }
 
-func TestArenaRecycledVectorReadsZero(t *testing.T) {
-	a := NewArena(1<<12, 2)
-	v := a.NewVector(1 << 12)
-	for i := uint32(0); i < 1<<12; i += 3 {
-		v.Set(i)
+// TestArenaFootprintWholeSlabs pins that FootprintBytes counts whole
+// slabs, one more for each vectorsPerSlab vectors carved, and that it
+// may be read while the single writer carves.
+func TestArenaFootprintWholeSlabs(t *testing.T) {
+	const perSlab = 4
+	a := NewArena(2048, perSlab)
+	if got := a.FootprintBytes(); got != 0 {
+		t.Fatalf("fresh arena footprint = %d, want 0", got)
 	}
-	if v.OnesCount() == 0 {
-		t.Fatal("setup: no bits set")
-	}
-	if err := a.Release(v); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	// The recycled span still physically holds the old bits; the fresh
-	// vector must read logically zero everywhere and never resurrect
-	// them through Set's read-modify-write.
-	w := a.NewVector(1 << 12)
-	if w.OnesCount() != 0 {
-		t.Fatalf("recycled vector OnesCount = %d, want 0", w.OnesCount())
-	}
-	for i := uint32(0); i < 1<<12; i++ {
-		if w.Get(i) {
-			t.Fatalf("recycled vector bit %d reads set", i)
-		}
-	}
-	w.Set(7)
-	if got := w.OnesCount(); got != 1 {
-		t.Fatalf("after one Set on recycled vector, OnesCount = %d, want 1", got)
-	}
-	// StepClear must converge without reviving anything.
-	for !w.StepClear(1) {
-	}
-	if got := w.OnesCount(); got != 1 {
-		t.Fatalf("after sweep, OnesCount = %d, want 1", got)
-	}
-	if !w.Get(7) || w.Get(8) {
-		t.Fatal("sweep corrupted recycled vector contents")
-	}
-}
-
-func TestArenaFreeListReuse(t *testing.T) {
-	a := NewArena(2048, 4)
-	vs := make([]*Vector, 10)
-	for i := range vs {
-		vs[i] = a.NewVector(2048)
-	}
-	st := a.Stats()
-	if st.Live != 10 {
-		t.Fatalf("Live = %d, want 10", st.Live)
-	}
-	slabs := st.Slabs
-	for _, v := range vs {
-		if err := a.Release(v); err != nil {
-			t.Fatalf("Release: %v", err)
-		}
-	}
-	st = a.Stats()
-	if st.Live != 0 || st.Free != 10 {
-		t.Fatalf("after release: Live=%d Free=%d, want 0/10", st.Live, st.Free)
-	}
-	// Re-carving the same population must not grow new slabs.
-	for i := range vs {
-		vs[i] = a.NewVector(2048)
-	}
-	st = a.Stats()
-	if st.Slabs != slabs {
-		t.Fatalf("reuse allocated new slabs: %d -> %d", slabs, st.Slabs)
-	}
-	if st.Free != 0 {
-		t.Fatalf("free list not drained: %d", st.Free)
-	}
-}
-
-func TestArenaReleaseErrors(t *testing.T) {
-	a := NewArena(1024, 2)
-	if err := a.Release(New(1024)); err == nil {
-		t.Fatal("releasing a non-arena vector did not error")
-	}
-	b := NewArena(4096, 2)
-	v := b.NewVector(4096)
-	if err := a.Release(v); err == nil {
-		t.Fatal("cross-arena geometry release did not error")
-	}
-	w := a.NewVector(1024)
-	if err := a.Release(w); err != nil {
-		t.Fatalf("Release: %v", err)
-	}
-	if err := a.Release(w); err == nil {
-		t.Fatal("double release did not error")
-	}
-}
-
-func TestArenaConcurrentChurn(t *testing.T) {
-	a := NewArena(4096, 8)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(seed uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewPCG(seed, seed^0xabcdef))
-			for i := 0; i < 200; i++ {
-				v := a.NewVector(4096)
-				for j := 0; j < 32; j++ {
-					v.Set(rng.Uint32())
-				}
-				if err := a.Release(v); err != nil {
-					t.Errorf("Release: %v", err)
-					return
-				}
+	// One slab: perSlab spans of 32 words + 1 stamp + 1 dirty word,
+	// rounded to 40 words, plus one alignment unit.
+	slab := (perSlab*40 + alignWords) * 8
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for last := 0; last < 3*slab; {
+			got := a.FootprintBytes()
+			if got%slab != 0 || got < last {
+				t.Errorf("footprint %d: not whole slabs of %d B, or shrank from %d", got, slab, last)
+				return
 			}
-		}(uint64(g + 1))
+			last = got
+		}
+	}()
+	for i := 1; i <= 3*perSlab; i++ {
+		a.NewVector(2048).Set(uint32(i))
+		if want := (i + perSlab - 1) / perSlab * slab; a.FootprintBytes() != want {
+			t.Fatalf("after %d vectors: footprint %d, want %d", i, a.FootprintBytes(), want)
+		}
 	}
-	wg.Wait()
-	st := a.Stats()
-	if st.Live != 0 {
-		t.Fatalf("Live = %d after churn, want 0", st.Live)
-	}
+	<-done
 }

@@ -68,29 +68,38 @@ type Vector struct {
 	// writes (ReadFrom, CopyFrom) that bypassed it. A SyncMark taken at
 	// another count cannot trust the dirty bits.
 	syncs uint64
-	// span is the backing slab slice when the vector was carved from an
-	// Arena (words and blockEpoch alias into it); nil for vectors built
-	// by New. Arena.Release uses it to recycle the storage.
-	span []uint64
 }
 
 // New returns a Vector with capacity for nbits bits, all zero. nbits is
 // rounded up to the next power of two so that bits can be addressed with
 // a mask; Len reports the rounded size.
 func New(nbits uint) *Vector {
+	nbits, nwords, nblocks, ndirty := geometry(nbits)
+	return newVector(nbits, make([]uint64, nwords), make([]uint64, nblocks), make([]uint64, ndirty))
+}
+
+// geometry rounds nbits up to a power of two and returns it with the
+// word, clear-block and dirty-word counts of a vector that size.
+func geometry(nbits uint) (rounded uint, nwords, nblocks, ndirty int) {
 	if nbits == 0 {
 		panic("bitvec: vector size must be positive")
 	}
-	nbits = ceilPow2(nbits)
-	nwords := int((nbits + wordBits - 1) / wordBits)
-	nblocks := (nwords + clearBlockWords - 1) / clearBlockWords
+	rounded = ceilPow2(nbits)
+	nwords = int((rounded + wordBits - 1) / wordBits)
+	nblocks = (nwords + clearBlockWords - 1) / clearBlockWords
+	return rounded, nwords, nblocks, dirtyWords(nwords)
+}
+
+// newVector starts an all-zero vector of nbits (a power of two) over
+// zeroed storage.
+func newVector(nbits uint, words, stamps, dirty []uint64) *Vector {
 	return &Vector{
-		words:      make([]uint64, nwords),
-		blockEpoch: make([]uint64, nblocks),
+		words:      words,
+		blockEpoch: stamps,
 		nbits:      nbits,
 		mask:       uint32(nbits - 1),
-		sweep:      nblocks,
-		dirty:      make([]uint64, dirtyWords(nwords)),
+		sweep:      len(stamps),
+		dirty:      dirty,
 	}
 }
 

@@ -20,9 +20,10 @@ import (
 
 // SyncMark records the state a word image was left equal to by its last
 // Sync: the vector itself, that vector's clear epoch, and its sync
-// count. It holds the pointer, not an address or an index, so a vector
-// recycled out of an Arena can never match a mark taken on its
-// predecessor. The zero value matches no vector.
+// count. It holds the pointer, not an address or an index, so no other
+// vector can match it, and a vector that serves another filter after a
+// Clear, as a pooled tenant shell's vectors do after core.Filter.Reset,
+// fails on the epoch. The zero value matches no vector.
 type SyncMark struct {
 	vec   *Vector
 	epoch uint64

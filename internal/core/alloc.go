@@ -4,46 +4,8 @@ import (
 	"math/rand/v2"
 	"time"
 
-	"p2pbound/internal/bitvec"
 	"p2pbound/internal/errfmt"
 )
-
-// VectorAllocator abstracts where a filter's bit vectors come from. The
-// default (nil) allocator is bitvec.New — one heap allocation pair per
-// vector, right for a handful of long-lived filters. A multi-tenant
-// control plane hydrating and evicting filters by the hundred thousand
-// passes a *bitvec.Arena instead, so vector storage is carved from
-// pooled 512-bit-aligned slabs and recycled across tenant generations.
-type VectorAllocator interface {
-	// NewVector returns a zeroed vector of nbits capacity.
-	NewVector(nbits uint) *bitvec.Vector
-	// Release returns a vector's storage for reuse. The vector must not
-	// be used afterwards.
-	Release(v *bitvec.Vector) error
-}
-
-// NewWith builds a bitmap filter whose bit vectors come from alloc; a
-// nil alloc selects plain heap vectors, making NewWith(cfg, nil)
-// identical to New(cfg). The filter does not retain alloc — the caller
-// that owns the allocator also owns the filter's lifecycle and calls
-// ReleaseVectors when retiring it.
-func NewWith(cfg Config, alloc VectorAllocator) (*Filter, error) {
-	return newFilter(cfg, alloc)
-}
-
-// ReleaseVectors returns every bit vector's storage to alloc and leaves
-// the filter unusable; callers retire the filter afterwards. It is the
-// eviction half of arena-backed construction: the tenant manager
-// snapshots the filter first, then recycles its spans.
-func (f *Filter) ReleaseVectors(alloc VectorAllocator) error {
-	for _, v := range f.vectors {
-		if err := alloc.Release(v); err != nil {
-			return errfmt.Wrap("core: release vectors", err)
-		}
-	}
-	f.vectors = nil
-	return nil
-}
 
 // Empty reports whether no bit is marked in any vector — the gate for
 // the evict fast path that spills only rotation and rng state instead

@@ -29,7 +29,7 @@ func replayStep(f *Filter, rng *rand.Rand, now time.Duration) Verdict {
 func TestArenaFilterMatchesHeapFilter(t *testing.T) {
 	cfg := testConfig()
 	cfg.Seed = 42
-	arena := bitvec.NewArena(1<<cfg.NBits, 0)
+	arena := bitvec.NewArena(1<<cfg.NBits, 64)
 	af, err := NewWith(cfg, arena)
 	if err != nil {
 		t.Fatal(err)
@@ -53,18 +53,12 @@ func TestArenaFilterMatchesHeapFilter(t *testing.T) {
 	if af.Stats() != hf.Stats() {
 		t.Fatalf("stats diverged: arena %+v, heap %+v", af.Stats(), hf.Stats())
 	}
-	if err := af.ReleaseVectors(arena); err != nil {
-		t.Fatal(err)
-	}
-	if st := arena.Stats(); st.Live != 0 || st.Free != cfg.K {
-		t.Fatalf("arena after release: %+v", st)
-	}
 }
 
-// TestSuspendResumeVerdictExact pins the full evict/rehydrate state
-// loop: v2 snapshot + RotationState + RNGState restores a filter whose
-// subsequent verdicts and stats deltas are bit-identical to the filter
-// that never stopped.
+// TestSuspendResumeVerdictExact pins the BMTM restore loop: a v2
+// snapshot read back with ReadFilter, plus RotationState and RNGState,
+// restores a filter whose subsequent verdicts and stats deltas are
+// bit-identical to the filter that never stopped.
 func TestSuspendResumeVerdictExact(t *testing.T) {
 	cfg := testConfig()
 	cfg.Seed = 99
@@ -76,7 +70,6 @@ func TestSuspendResumeVerdictExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arena := bitvec.NewArena(1<<cfg.NBits, 0)
 	rngA := rand.New(rand.NewPCG(3, 5))
 	rngB := rand.New(rand.NewPCG(3, 5))
 	var now time.Duration
@@ -90,8 +83,8 @@ func TestSuspendResumeVerdictExact(t *testing.T) {
 				t.Fatalf("epoch %d step %d: verdicts diverged (%v vs %v)", epoch, i, va, vb)
 			}
 		}
-		// Evict: spill bitmap + temporal + rng state, then rebuild from
-		// the spill into arena-backed vectors.
+		// Suspend: snapshot bitmap + temporal + rng state, then rebuild
+		// from the snapshot.
 		var buf bytes.Buffer
 		if _, err := live.WriteTo(&buf); err != nil {
 			t.Fatal(err)
@@ -101,7 +94,7 @@ func TestSuspendResumeVerdictExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resumed, err := ReadFilterWith(&buf, arena)
+		resumed, err := ReadFilter(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,7 +129,7 @@ func TestSpillWordsResumeVerdictExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		arena := bitvec.NewArena(1<<cfg.NBits, 0)
+		arena := bitvec.NewArena(1<<cfg.NBits, 64)
 		live, err := NewWith(cfg, arena)
 		if err != nil {
 			t.Fatal(err)
@@ -231,28 +224,5 @@ func TestRotationStateValidation(t *testing.T) {
 	}
 	if err := f.SetRotationState(RotationState{Index: -1}); err == nil {
 		t.Fatal("negative index accepted")
-	}
-}
-
-// TestReadFilterWithReleasesOnError pins the no-leak contract: a
-// corrupt stream must leave the arena with no live spans.
-func TestReadFilterWithReleasesOnError(t *testing.T) {
-	cfg := testConfig()
-	f, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := f.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	b[len(b)-1] ^= 0xff // corrupt the checksum trailer
-	arena := bitvec.NewArena(1<<cfg.NBits, 0)
-	if _, err := ReadFilterWith(bytes.NewReader(b), arena); err == nil {
-		t.Fatal("corrupt snapshot accepted")
-	}
-	if st := arena.Stats(); st.Live != 0 {
-		t.Fatalf("decode error leaked %d arena spans", st.Live)
 	}
 }

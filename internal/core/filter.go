@@ -210,13 +210,17 @@ type Filter struct {
 	stats    counters
 }
 
-// New builds a bitmap filter from cfg with heap-allocated bit vectors;
-// NewWith selects a pooled allocator instead.
+// New builds a bitmap filter from cfg with heap-allocated bit vectors.
 func New(cfg Config) (*Filter, error) {
-	return newFilter(cfg, nil)
+	return NewWith(cfg, nil)
 }
 
-func newFilter(cfg Config, alloc VectorAllocator) (*Filter, error) {
+// NewWith builds a bitmap filter whose bit vectors are carved from
+// arena, whose geometry must match cfg.NBits; a nil arena selects heap
+// vectors. A multi-tenant control plane builds its many small filters
+// this way, so their vectors sit in 512-bit-aligned slabs, and keeps
+// retired filters whole for Reset instead of freeing them.
+func NewWith(cfg Config, arena *bitvec.Arena) (*Filter, error) {
 	if cfg.K <= 0 {
 		return nil, errors.New("core: K must be positive, got " + strconv.Itoa(cfg.K))
 	}
@@ -242,8 +246,8 @@ func newFilter(cfg Config, alloc VectorAllocator) (*Filter, error) {
 	}
 	vectors := make([]*bitvec.Vector, cfg.K)
 	for i := range vectors {
-		if alloc != nil {
-			vectors[i] = alloc.NewVector(1 << cfg.NBits)
+		if arena != nil {
+			vectors[i] = arena.NewVector(1 << cfg.NBits)
 		} else {
 			vectors[i] = bitvec.New(1 << cfg.NBits)
 		}

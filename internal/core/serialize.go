@@ -132,7 +132,7 @@ func encodeHeader(cfg Config, started bool, idx int, next time.Duration) [snapsh
 	// release; they now carry the resolved index-derivation scheme and
 	// bit layout. Older streams read as zero, which maps back to the
 	// defaults, so every previously written snapshot keeps its meaning.
-	// newFilter and AppendSnapshot write resolved configurations, so
+	// NewWith and AppendSnapshot write resolved configurations, so
 	// these are never the zero defaults.
 	hdr[34] = byte(cfg.HashScheme)
 	hdr[35] = byte(cfg.Layout)
@@ -153,29 +153,9 @@ func encodeHeader(cfg Config, started bool, idx int, next time.Duration) [snapsh
 // survived a torn write or bit rot is always rejected; callers should
 // treat the error as a cold start, not a fatal condition. A version-1
 // stream fails with ErrSnapshotVersion.
-func ReadFilter(r io.Reader) (*Filter, error) {
-	return ReadFilterWith(r, nil)
-}
-
-// ReadFilterWith is ReadFilter with the filter's bit vectors drawn from
-// alloc (nil selects plain heap vectors). The tenant rehydration path
-// uses it so a filter restored from a spill frame lands back in the
-// arena it was evicted from. On any decode error vectors already carved
-// from alloc are released before returning, so a rejected snapshot
-// leaks no spans.
-func ReadFilterWith(r io.Reader, alloc VectorAllocator) (*Filter, error) {
-	f, err := readFilter(r, alloc)
-	if err != nil && f != nil && alloc != nil {
-		_ = f.ReleaseVectors(alloc)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
+//
 //p2p:codec snapshotv2 decode
-func readFilter(r io.Reader, alloc VectorAllocator) (*Filter, error) {
+func ReadFilter(r io.Reader) (*Filter, error) {
 	crc := crc32.New(castagnoli)
 	tee := io.TeeReader(r, crc)
 
@@ -216,29 +196,29 @@ func readFilter(r io.Reader, alloc VectorAllocator) (*Filter, error) {
 			return nil, errfmt.Detail("core: implausible snapshot geometry: "+strconv.FormatInt(bytes, 10)+" vector bytes exceed "+strconv.Itoa(maxSnapshotBytes), ErrSnapshotGeometry)
 		}
 	}
-	f, err := newFilter(cfg, alloc)
+	f, err := New(cfg)
 	if err != nil {
 		return nil, errfmt.Detail("core: snapshot config: "+err.Error(), ErrSnapshotCorrupt)
 	}
 	f.started = hdr[33] == 1
 	f.idx = int(binary.LittleEndian.Uint32(hdr[36:]))
 	if f.idx < 0 || f.idx >= cfg.K {
-		return f, errfmt.Detail("core: snapshot index "+strconv.Itoa(f.idx)+" out of range", ErrSnapshotCorrupt)
+		return nil, errfmt.Detail("core: snapshot index "+strconv.Itoa(f.idx)+" out of range", ErrSnapshotCorrupt)
 	}
 	f.next = time.Duration(binary.LittleEndian.Uint64(hdr[40:]))
 
 	for _, v := range f.vectors {
 		if _, err := v.ReadFrame(tee); err != nil {
-			return f, errfmt.Wrap("core: read snapshot vectors", err)
+			return nil, errfmt.Wrap("core: read snapshot vectors", err)
 		}
 	}
 	want := crc.Sum32()
 	var trailer [snapshotTrailerLen]byte
 	if _, err := io.ReadFull(r, trailer[:]); err != nil {
-		return f, errfmt.Wrap("core: read snapshot trailer", err)
+		return nil, errfmt.Wrap("core: read snapshot trailer", err)
 	}
 	if got := binary.LittleEndian.Uint32(trailer[:]); got != want {
-		return f, errfmt.Detail("core: snapshot checksum mismatch: stored "+hex(uint64(got))+", computed "+hex(uint64(want)), ErrSnapshotChecksum)
+		return nil, errfmt.Detail("core: snapshot checksum mismatch: stored "+hex(uint64(got))+", computed "+hex(uint64(want)), ErrSnapshotChecksum)
 	}
 	return f, nil
 }

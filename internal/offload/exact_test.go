@@ -55,8 +55,9 @@ func checkSectionExact(t *testing.T, s *Section, f *core.Filter, what string) {
 //   - rotations, and idle gaps of k·Δt or more that clear every vector;
 //   - a filter swapped in from its snapshot, as Limiter.RestoreState
 //     does;
-//   - an evict/rehydrate cycle onto recycled arena vectors, as the
-//     tenant manager does;
+//   - an evict/rehydrate cycle as the tenant manager runs it: the
+//     filter's words, rotation and rng state are spilled, and a pooled
+//     shell that a map synced before is Reset and loaded with them;
 //   - a MergeBlock into a live vector, as a fleet replica does.
 //
 // The maps share the filter, so each publish into one invalidates the
@@ -79,13 +80,21 @@ func TestPublishExact(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// shell is the pooled filter the next rehydration resets.
+			shell, err := core.NewWith(cfg, arena)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var maps [2]*Map
 			for i := range maps {
 				if maps[i], err = NewMap(GeometryOf(cfg), 1, 0); err != nil {
 					t.Fatal(err)
 				}
 			}
-			onArena := true // f's vectors were carved from arena
+			if err := maps[0].Section(0).Publish(shell); err != nil {
+				t.Fatal(err)
+			}
+			words := make([]uint64, f.Words())
 			pairs := testPairs(2048)
 			var ts time.Duration
 			for step := 0; step < steps; step++ {
@@ -102,15 +111,9 @@ func TestPublishExact(t *testing.T) {
 				case op < 66:
 					ts += time.Duration(cfg.K+rng.IntN(3)) * cfg.DeltaT
 				case op < 67:
-					f = restoreSnapshot(t, f, nil, nil)
-					onArena = false
+					f = restoreSnapshot(t, f)
 				case op < 68:
-					release := arena
-					if !onArena {
-						release = nil
-					}
-					f = restoreSnapshot(t, f, release, arena)
-					onArena = true
+					f, shell = rehydrate(t, f, shell, words), f
 				case op < 70:
 					v := f.Vector(rng.IntN(cfg.K))
 					var blk [bitvec.DeltaBlockWords]uint64
@@ -136,28 +139,16 @@ func TestPublishExact(t *testing.T) {
 	}
 }
 
-// restoreSnapshot replaces f with a filter read back from its snapshot
-// onto vectors from alloc (the heap when nil), carrying the rotation
-// schedule over as a suspend/resume does. Releasing f's vectors to an
-// arena first, as a tenant eviction does, makes the replacement reuse
-// their spans.
-func restoreSnapshot(t *testing.T, f *core.Filter, release, alloc *bitvec.Arena) *core.Filter {
+// restoreSnapshot replaces f with a filter read back from its snapshot,
+// carrying the rotation schedule over as Limiter.RestoreState does.
+func restoreSnapshot(t *testing.T, f *core.Filter) *core.Filter {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := f.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	rot := f.RotationState()
-	if release != nil {
-		if err := f.ReleaseVectors(release); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var va core.VectorAllocator
-	if alloc != nil {
-		va = alloc
-	}
-	g, err := core.ReadFilterWith(&buf, va)
+	g, err := core.ReadFilter(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,4 +156,32 @@ func restoreSnapshot(t *testing.T, f *core.Filter, release, alloc *bitvec.Arena)
 		t.Fatal(err)
 	}
 	return g
+}
+
+// rehydrate suspends f as a tenant eviction does, spilling its words
+// (unless it is empty) into words and keeping its rotation and rng
+// state, and resumes it on shell as a hydration does: Reset, LoadWords,
+// then the rotation and rng state. It returns the resumed filter.
+func rehydrate(t *testing.T, f, shell *core.Filter, words []uint64) *core.Filter {
+	t.Helper()
+	marked := !f.Empty()
+	if marked {
+		f.SpillWords(words)
+	}
+	rot := f.RotationState()
+	rng, err := f.RNGState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	shell.Reset(f.Config().Seed)
+	if marked {
+		shell.LoadWords(words)
+	}
+	if err := shell.SetRotationState(rot); err != nil {
+		t.Fatal(err)
+	}
+	if err := shell.SetRNGState(rng); err != nil {
+		t.Fatal(err)
+	}
+	return shell
 }

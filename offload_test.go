@@ -409,8 +409,9 @@ func mapImage(t *testing.T, om *offload.Map) []byte {
 
 // TestOffloadPublishExactFrontEnds publishes through the two front ends
 // that swap whole filters under a live map — Limiter.RestoreState and
-// a TenantManager rehydrating tenants onto recycled arena vectors — and
-// requires every live section to equal its filter after every publish.
+// a TenantManager rehydrating tenants onto pooled filter shells, reset
+// for reuse — and requires every live section to equal its filter after
+// every publish.
 // internal/offload's TestPublishExact covers the same events, and the
 // rest, on bare filters.
 func TestOffloadPublishExactFrontEnds(t *testing.T) {
@@ -476,9 +477,9 @@ func TestOffloadPublishExactFrontEnds(t *testing.T) {
 		for i := range pkts {
 			mgr.Process(pkts[i].pub)
 			if i%800 == 799 {
-				// Every span goes back to the arena; the next packets
-				// rehydrate their tenants onto recycled spans, in traffic
-				// order rather than the order they were released.
+				// Every filter goes back to its shard's shell pool; the
+				// next packets rehydrate their tenants onto pooled shells,
+				// in traffic order rather than the order they were pooled.
 				rehydrated += mgr.EvictIdle(0)
 			}
 			if i%41 != 0 {

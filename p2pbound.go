@@ -33,7 +33,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/netip"
 	"sync"
 	"sync/atomic"
@@ -43,7 +42,6 @@ import (
 	"p2pbound/internal/hashes"
 	"p2pbound/internal/packet"
 	"p2pbound/internal/red"
-	"p2pbound/internal/throughput"
 )
 
 // Protocol is an IP transport protocol.
@@ -254,8 +252,6 @@ type Limiter struct {
 	// Owned by the processing goroutine, like the rest of the limiter.
 	failClosed bool //p2p:confined limproc
 
-	prober    red.Prober
-	meter     *throughput.Meter
 	clientNet packet.Network
 	now       time.Duration //p2p:confined limproc
 
@@ -272,13 +268,9 @@ type Limiter struct {
 	tolerance     time.Duration
 	timeAnomalies atomic.Int64 //p2p:atomic
 
-	// Telemetry wiring (nil/zero when Config.Telemetry is unset). pdBits
-	// and uplinkBits mirror the P_d cache as atomic float bits so scrape
-	// goroutines can read the live values without touching the meter.
-	tel        *Telemetry
-	telShard   int
-	pdBits     atomic.Uint64 //p2p:atomic
-	uplinkBits atomic.Uint64 //p2p:atomic
+	// Telemetry wiring (nil/zero when Config.Telemetry is unset).
+	tel      *Telemetry
+	telShard int
 
 	// Sampled drop tracing (see Config.TraceEveryN).
 	traceEvery int64
@@ -301,18 +293,12 @@ type Limiter struct {
 	// aggregate meter too, and the effective drop probability becomes
 	// red.Combine(own, aggregate). Nil — every limiter outside a
 	// TenantManager — leaves the ramp bit-identical to the paper's.
-	agg *aggBudget
+	agg *ramp
 
-	// P_d cache. The linear prober is a pure function of the metered
-	// uplink rate, and the rate only changes when bytes are added or
-	// simulated time crosses a meter bucket boundary — so the drop
-	// probability is recomputed only at those points instead of per
-	// packet. pdUntil is the exclusive end of the bucket for which
-	// cachedPd is valid; meter.Add invalidates it.
-	bucketWidth time.Duration
-	pdUntil     time.Duration //p2p:confined limproc
-	pdValid     bool          //p2p:confined limproc
-	cachedPd    float64       //p2p:confined limproc
+	// ramp is the limiter's own Equation 1 over its passed outbound
+	// bytes. It mirrors P_d and the rate for scrapes only with telemetry
+	// attached.
+	ramp
 }
 
 // batchScratch is the per-chunk conversion scratch behind ProcessBatch;
@@ -354,8 +340,8 @@ func newShell(cfg Config) (*Limiter, core.Config, error) {
 	if cfg.LowMbps == 0 && cfg.HighMbps == 0 {
 		cfg.LowMbps, cfg.HighMbps = 50, 100
 	}
-	prober, err := red.NewLinear(cfg.LowMbps*1e6, cfg.HighMbps*1e6)
-	if err != nil {
+	l := &Limiter{clientNet: clientNet, tolerance: cfg.ReorderTolerance}
+	if err := l.ramp.init(cfg.LowMbps*1e6, cfg.HighMbps*1e6, cfg.MeterWindow); err != nil {
 		return nil, core.Config{}, fmt.Errorf("p2pbound: %w", err)
 	}
 	coreCfg := core.DefaultConfig()
@@ -376,25 +362,6 @@ func newShell(cfg Config) (*Limiter, core.Config, error) {
 	coreCfg.HolePunch = cfg.HolePunch
 	coreCfg.Seed = cfg.Seed
 	coreCfg.ReorderTolerance = cfg.ReorderTolerance
-	window := cfg.MeterWindow
-	if window <= 0 {
-		window = 5 * time.Second
-	}
-	buckets := int(window / time.Second)
-	if buckets < 1 {
-		buckets = 1
-	}
-	meter, err := throughput.NewMeter(window/time.Duration(buckets), buckets)
-	if err != nil {
-		return nil, core.Config{}, fmt.Errorf("p2pbound: %w", err)
-	}
-	l := &Limiter{
-		prober:      prober,
-		meter:       meter,
-		clientNet:   clientNet,
-		bucketWidth: window / time.Duration(buckets),
-		tolerance:   cfg.ReorderTolerance,
-	}
 	if cfg.TraceEveryN > 0 && cfg.TraceFunc != nil {
 		l.traceEvery = int64(cfg.TraceEveryN)
 		l.traceFn = cfg.TraceFunc
@@ -482,7 +449,9 @@ func (l *Limiter) clampTS(pkt *packet.Packet) {
 
 // decide applies the post-verdict bookkeeping of step — uplink
 // metering, P_d cache invalidation, drop telemetry, and sampled
-// tracing — and maps the filter verdict to a Decision.
+// tracing — and maps the filter verdict to a Decision. The limiter's
+// own meter add and invalidation are ramp.add written out, which keeps
+// them inline on the per-packet path.
 //
 //p2p:hotpath
 //p2p:confined limproc
@@ -585,10 +554,8 @@ func (l *Limiter) processChunk(chunk []Packet, dst []Decision) []Decision {
 	return dst
 }
 
-// pd returns the drop probability at simulated time ts, recomputing the
-// metered rate only when the cached value can no longer be current: on
-// the first call, after an outbound packet added bytes to the meter, or
-// when ts enters a new meter bucket. Process and ProcessBatch share this
+// pd returns the drop probability at simulated time ts from the
+// limiter's ramp (see ramp.pd). Process and ProcessBatch share this
 // path, so batch and per-packet runs draw identical P_d sequences.
 //
 //p2p:hotpath
@@ -597,30 +564,14 @@ func (l *Limiter) pd(ts time.Duration) float64 {
 	if l.failClosed {
 		return 1
 	}
-	if !l.pdValid || ts >= l.pdUntil {
-		crossed := ts >= l.pdUntil
-		rate := l.meter.Rate(ts)
-		l.cachedPd = l.prober.Pd(rate)
-		l.pdUntil = ts - ts%l.bucketWidth + l.bucketWidth
-		l.pdValid = true
-		if l.tel != nil && crossed {
-			// Mirror the fresh values as atomic bits so scrapes read a
-			// live P_d and rate without touching the (unsynchronized)
-			// meter. Gated on bucket crossings — once per bucketWidth of
-			// trace time — because outbound traffic invalidates the cache
-			// per packet and an atomic store is a full fence on the hot
-			// path; within-bucket drift is invisible at scrape cadence.
-			l.pdBits.Store(math.Float64bits(l.cachedPd))
-			l.uplinkBits.Store(math.Float64bits(rate))
-		}
-	}
+	pd := l.ramp.pd(ts)
 	if l.agg != nil {
 		// Hierarchical RED: nest this limiter's ramp under the shared
 		// uplink budget. Combine's exact early-outs keep a zero aggregate
 		// pressure bit-identical to the bare ramp.
-		return red.Combine(l.cachedPd, l.agg.pd(ts))
+		return red.Combine(pd, l.agg.pd(ts))
 	}
-	return l.cachedPd
+	return pd
 }
 
 // UplinkMbps returns the current measured uplink throughput in megabits

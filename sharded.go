@@ -30,19 +30,26 @@ func NewSharded(cfg Config, n int) (*ShardedLimiter, error) {
 	if cfg.LowMbps == 0 && cfg.HighMbps == 0 {
 		cfg.LowMbps, cfg.HighMbps = 50, 100
 	}
-	shardCfg := cfg
-	shardCfg.LowMbps = cfg.LowMbps / float64(n)
-	shardCfg.HighMbps = cfg.HighMbps / float64(n)
-	shards := make([]*Limiter, n)
-	for i := range shards {
-		shardCfg.Seed = cfg.Seed + uint64(i)
-		l, err := New(shardCfg)
+	cfg.LowMbps /= float64(n)
+	cfg.HighMbps /= float64(n)
+	return newLimiterSet(cfg, n)
+}
+
+// newLimiterSet builds n limiters from cfg, member i seeded cfg.Seed+i
+// so drop draws stay reproducible. NewSharded splits the thresholds
+// before; a Fleet's members keep them whole.
+func newLimiterSet(cfg Config, n int) (*ShardedLimiter, error) {
+	s := &ShardedLimiter{shards: make([]*Limiter, n)}
+	seed := cfg.Seed
+	for i := range s.shards {
+		cfg.Seed = seed + uint64(i)
+		l, err := New(cfg)
 		if err != nil {
 			return nil, err
 		}
-		shards[i] = l
+		s.shards[i] = l
 	}
-	return &ShardedLimiter{shards: shards}, nil
+	return s, nil
 }
 
 // Shards returns the number of shards.

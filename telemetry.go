@@ -99,6 +99,7 @@ func (t *Telemetry) attach(l *Limiter) {
 	t.mu.Unlock()
 	l.tel = t
 	l.telShard = shard
+	l.mirror = true
 	lbl := metrics.L("shard", strconv.Itoa(shard))
 
 	stat := func(pick func(Stats) int64) func() float64 {
@@ -179,8 +180,6 @@ func (t *Telemetry) attachTenantManager(m *TenantManager) {
 		func() float64 { return float64(m.noTenant.Load()) }, lbl)
 	t.reg.CounterFunc("p2pbound_tenant_unroutable_total", "Unclassifiable (non-IPv4) packets dropped defensively.",
 		func() float64 { return float64(m.unroutable.Load()) }, lbl)
-	t.reg.CounterFunc("p2pbound_tenant_hydrate_fallbacks_total", "Rehydrations whose saved rng position failed to decode, restarting the tenant's P_d draws from its seed.",
-		func() float64 { return float64(m.hydrateFallbacks.Load()) }, lbl)
 	for _, sh := range m.shards {
 		sh := sh
 		slbl := metrics.L("tshard", strconv.Itoa(sh.idx))

@@ -48,7 +48,8 @@ type TenantManagerConfig struct {
 	// split evenly across shards (like ShardedLimiter thresholds) and
 	// combined with each tenant's own P_d via red.Combine. Both zero
 	// disables the aggregate budget, leaving every tenant's ramp
-	// bit-identical to a bare Limiter.
+	// bit-identical to a bare Limiter; otherwise they must satisfy
+	// 0 <= low < high.
 	AggregateLowMbps  float64
 	AggregateHighMbps float64
 
@@ -56,10 +57,6 @@ type TenantManagerConfig struct {
 	// vectors per shard; hydrating past the cap evicts the shard's
 	// least-recently-active tenants first. 0 means uncapped.
 	MaxHydratedPerShard int
-
-	// SlabVectors is the arena growth unit (vectors per slab); 0 selects
-	// the bitvec default.
-	SlabVectors int
 
 	// Telemetry, when non-nil, attaches manager-level series (tenant
 	// population, hydration churn, aggregate budget, arena occupancy)
@@ -119,8 +116,8 @@ type tenant struct {
 type tshard struct {
 	idx   int
 	arena *bitvec.Arena
-	agg   *aggBudget // nil when the aggregate budget is disabled
-	kern  *tkernel   // the batch kernel of the shard's TenantPipeline worker
+	agg   *ramp    // the aggregate budget; nil when it is disabled
+	kern  *tkernel // the batch kernel of the shard's TenantPipeline worker
 
 	now     time.Duration //p2p:confined tenantshard // monotone activity clock (max packet ts seen)
 	lruHead *tenant       //p2p:confined tenantshard
@@ -232,10 +229,12 @@ type TenantManager struct {
 	tenants []*tenant
 	byID    map[string]*tenant
 
-	noTenant         atomic.Int64 //p2p:atomic
-	unroutable       atomic.Int64 //p2p:atomic
-	hydrateFallbacks atomic.Int64 //p2p:atomic
+	noTenant   atomic.Int64 //p2p:atomic
+	unroutable atomic.Int64 //p2p:atomic
 }
+
+// tenantVectorsPerSlab is the arena growth unit, in vectors per slab.
+const tenantVectorsPerSlab = 64
 
 // NewTenantManager builds an empty manager; register subscribers with
 // AddTenants.
@@ -252,6 +251,9 @@ func NewTenantManager(cfg TenantManagerConfig) (*TenantManager, error) {
 	if (cfg.AggregateLowMbps == 0) != (cfg.AggregateHighMbps == 0) {
 		return nil, fmt.Errorf("p2pbound: aggregate thresholds must both be set or both zero")
 	}
+	if cfg.MaxHydratedPerShard < 0 {
+		return nil, fmt.Errorf("p2pbound: tenant MaxHydratedPerShard must be non-negative, got %d", cfg.MaxHydratedPerShard)
+	}
 	tmpl := cfg.Tenant
 	tmpl.Telemetry = nil
 	// Resolve the template's core geometry once by building (and
@@ -261,10 +263,6 @@ func NewTenantManager(cfg TenantManagerConfig) (*TenantManager, error) {
 	_, coreCfg, err := newShell(probe)
 	if err != nil {
 		return nil, err
-	}
-	window := tmpl.MeterWindow
-	if window <= 0 {
-		window = 5 * time.Second
 	}
 	kern, err := newTKernel(coreCfg)
 	if err != nil {
@@ -279,10 +277,6 @@ func NewTenantManager(cfg TenantManagerConfig) (*TenantManager, error) {
 		shards:  make([]*tshard, cfg.Shards),
 		byID:    make(map[string]*tenant),
 	}
-	slabVectors := cfg.SlabVectors
-	if slabVectors <= 0 {
-		slabVectors = 64
-	}
 	for i := range m.shards {
 		kern, err := newTKernel(coreCfg)
 		if err != nil {
@@ -290,20 +284,19 @@ func NewTenantManager(cfg TenantManagerConfig) (*TenantManager, error) {
 		}
 		sh := &tshard{
 			idx:   i,
-			arena: bitvec.NewArena(1<<coreCfg.NBits, cfg.SlabVectors),
+			arena: bitvec.NewArena(1<<coreCfg.NBits, tenantVectorsPerSlab),
 			kern:  kern,
 			spill: spillPool{
 				words:   coreCfg.K * max(1, (1<<coreCfg.NBits)/64),
-				perSlab: max(1, slabVectors/coreCfg.K),
+				perSlab: max(1, tenantVectorsPerSlab/coreCfg.K),
 			},
 		}
-		if cfg.AggregateHighMbps > 0 {
+		if cfg.AggregateLowMbps != 0 || cfg.AggregateHighMbps != 0 {
 			n := float64(cfg.Shards)
-			agg, err := newAggBudget(cfg.AggregateLowMbps*1e6/n, cfg.AggregateHighMbps*1e6/n, window)
-			if err != nil {
+			sh.agg = &ramp{mirror: true}
+			if err := sh.agg.init(cfg.AggregateLowMbps*1e6/n, cfg.AggregateHighMbps*1e6/n, tmpl.MeterWindow); err != nil {
 				return nil, fmt.Errorf("p2pbound: aggregate budget: %w", err)
 			}
-			sh.agg = agg
 		}
 		m.shards[i] = sh
 	}
@@ -661,18 +654,17 @@ func (m *TenantManager) hydrate(t *tenant) {
 	f := m.shell(sh, seed)
 	if t.words != nil {
 		f.LoadWords(t.words)
-		sh.spill.put(t.words)
-		sh.spillBytes.Add(-8 * int64(len(t.words)))
-		t.words = nil
+		sh.dropWords(t)
 	}
 	if t.spilled {
-		if err := f.SetRotationState(t.rot); err != nil {
-			panic("p2pbound: tenant hydrate: " + err.Error())
+		// The rotation and rng records come from RotationState and
+		// RNGState, or from a frame RestoreTenantState validated.
+		err := f.SetRotationState(t.rot)
+		if err == nil && t.rng != nil {
+			err = f.SetRNGState(t.rng)
 		}
-		if t.rng != nil {
-			if err := f.SetRNGState(t.rng); err != nil {
-				m.hydrateFallbacks.Add(1)
-			}
+		if err != nil {
+			panic("p2pbound: tenant hydrate: " + err.Error())
 		}
 	}
 	t.lim.swapFilter(f)
@@ -733,12 +725,34 @@ func (m *TenantManager) evict(t *tenant) {
 		t.rng = b
 	}
 	t.spilled = true
+	sh.detach(t)
+}
+
+// detach retires hydrated tenant t's filter into the shard's shell
+// pool, folding its counters into the limiter base, and takes t off the
+// LRU.
+//
+//p2p:confined tenantshard
+func (sh *tshard) detach(t *tenant) {
+	f := t.lim.filter.Load()
 	t.lim.swapFilter(nil)
 	sh.shells = append(sh.shells, f)
 	sh.lruRemove(t)
 	t.hydrated = false
 	sh.hydrated.Add(-1)
 	sh.evictions.Add(1)
+}
+
+// dropWords returns t's spill record, if it holds one, to the shard's
+// spill pool.
+//
+//p2p:confined tenantshard
+func (sh *tshard) dropWords(t *tenant) {
+	if t.words != nil {
+		sh.spill.put(t.words)
+		sh.spillBytes.Add(-8 * int64(len(t.words)))
+		t.words = nil
+	}
 }
 
 // EvictIdle evicts every hydrated tenant whose last packet is at least
@@ -825,12 +839,6 @@ type TenantManagerStats struct {
 	// for one spilled empty. Records returned to a shard's spill pool
 	// are not counted.
 	SpillBytes int64
-	// HydrateFallbacks counts rehydrations whose saved rng position
-	// failed to decode, so the tenant's P_d draws restarted from its
-	// seed. Spilled words cannot fail to load and RestoreTenantState
-	// validates every rng record, so it stays zero short of memory
-	// corruption.
-	HydrateFallbacks int64
 	// ArenaBytes is the total slab storage backing all shards' vectors.
 	ArenaBytes int64
 }
@@ -841,10 +849,9 @@ func (m *TenantManager) Stats() TenantManagerStats {
 	tenants := len(m.tenants)
 	m.mu.Unlock()
 	s := TenantManagerStats{
-		Tenants:          tenants,
-		NoTenant:         m.noTenant.Load(),
-		Unroutable:       m.unroutable.Load(),
-		HydrateFallbacks: m.hydrateFallbacks.Load(),
+		Tenants:    tenants,
+		NoTenant:   m.noTenant.Load(),
+		Unroutable: m.unroutable.Load(),
 	}
 	for _, sh := range m.shards {
 		s.Hydrated += int(sh.hydrated.Load())

@@ -205,9 +205,6 @@ func TestTenantChurn(t *testing.T) {
 	if ms.Hydrations < int64(n) || ms.Evictions == 0 {
 		t.Fatalf("churn never happened: %+v", ms)
 	}
-	if ms.HydrateFallbacks != 0 {
-		t.Fatalf("hydrate fallbacks = %d, want 0", ms.HydrateFallbacks)
-	}
 	// Every spilled byte is accounted: evict everyone, then make one
 	// tenant resident again and check the books line up.
 	m.EvictIdle(0)

@@ -307,19 +307,9 @@ type restoredSpill struct {
 func (m *TenantManager) applyTenantFrame(t *tenant, fr *tenantFrame, sp *restoredSpill) {
 	sh := t.sh
 	if t.hydrated {
-		f := t.lim.filter.Load()
-		t.lim.swapFilter(nil)
-		sh.shells = append(sh.shells, f)
-		sh.lruRemove(t)
-		t.hydrated = false
-		sh.hydrated.Add(-1)
-		sh.evictions.Add(1)
+		sh.detach(t)
 	}
-	if t.words != nil {
-		sh.spill.put(t.words)
-		sh.spillBytes.Add(-8 * int64(len(t.words)))
-		t.words = nil
-	}
+	sh.dropWords(t)
 	if fr.flags&tenantFlagState != 0 {
 		t.spilled = true
 		t.rot = fr.rot

@@ -91,6 +91,9 @@ func TestTenantManagerValidation(t *testing.T) {
 		{Tenant: tmpl, PrefixBits: 24, Shards: -1},
 		{Tenant: tmpl, PrefixBits: 24, AggregateLowMbps: 10}, // one-sided
 		{Tenant: tmpl, PrefixBits: 24, AggregateHighMbps: 10},
+		{Tenant: tmpl, PrefixBits: 24, AggregateLowMbps: 5, AggregateHighMbps: -5},   // high below low
+		{Tenant: tmpl, PrefixBits: 24, AggregateLowMbps: -10, AggregateHighMbps: -5}, // negative
+		{Tenant: tmpl, PrefixBits: 24, MaxHydratedPerShard: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewTenantManager(cfg); err == nil {
@@ -212,9 +215,6 @@ func TestTenantLifecycle(t *testing.T) {
 	if s.Hydrated != 1 || s.Hydrations != 2 || s.SpillBytes != 0 {
 		t.Fatalf("after rehydrate: %+v", s)
 	}
-	if s.HydrateFallbacks != 0 {
-		t.Fatalf("hydrate fallbacks = %d", s.HydrateFallbacks)
-	}
 }
 
 // TestTenantEmptyEvictFastPath: a tenant hydrated by inbound-only
@@ -266,8 +266,9 @@ func TestTenantMaxHydratedLRU(t *testing.T) {
 	}
 }
 
-// TestTenantArenaRecycling: hydration churn reuses arena spans instead
-// of growing slabs without bound.
+// TestTenantArenaRecycling: hydration churn resets pooled filter shells,
+// vectors and all, so the arena stops growing once it holds the peak
+// hydrated population.
 func TestTenantArenaRecycling(t *testing.T) {
 	m := newTestManager(t, 8, nil)
 	for i := 0; i < 8; i++ {
@@ -591,7 +592,7 @@ func TestTenantHydrationCycleAllocs(t *testing.T) {
 	if per := (after.TotalAlloc - before.TotalAlloc) / cycles; per >= 1024 {
 		t.Fatalf("evict and rehydrate allocate %d B a cycle, want under 1 KiB", per)
 	}
-	if s := m.Stats(); s.Hydrations != cycles+3 || s.HydrateFallbacks != 0 {
+	if s := m.Stats(); s.Hydrations != cycles+3 {
 		t.Fatalf("stats after the cycles: %+v", s)
 	}
 }
