@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint vet fuzz-smoke bench bench-smoke
+.PHONY: all build test lint vet fuzz-smoke bench bench-smoke bench-pairs
 
 all: build lint test
 
@@ -54,3 +54,16 @@ bench:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadProbe|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x -count 2 . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
 	rm -f BENCH_smoke.json
+
+# bench-pairs runs p2pbench on two checkouts in alternating pairs and
+# compares the pairs in which neither run's host drifted
+# (scripts/benchpairs.sh; kept runs land in .bench_pairs/). For example,
+# against a parent checkout made with `git archive`:
+#   make bench-pairs BASE=../parent WORKLOAD=sharded SEED=1 PAIRS=10
+BASE ?= .
+NEW ?= .
+WORKLOAD ?= campus
+SEED ?= 1
+PAIRS ?= 10
+bench-pairs:
+	bash scripts/benchpairs.sh $(BASE) $(NEW) $(WORKLOAD) $(SEED) $(PAIRS) $(BENCHFLAGS)

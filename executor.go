@@ -13,18 +13,21 @@ import (
 // to the sharded executor. route and routeChunk run on producer
 // goroutines; decide and idle run only on shard sh's worker goroutine,
 // so they may touch that shard's single-writer state without locks.
+// The executor carries packets as records: Submit, TrySubmit and
+// SubmitBatch convert each public Packet once, and rings, staging
+// buffers and worker batches hold the 32-byte form.
 type shardBackend interface {
-	// route returns the index of the shard whose ring pkt joins. It
-	// takes the packet by value: a pointer passed through an interface
-	// call escapes, which would cost Submit a heap allocation.
-	route(pkt Packet) int
-	// routeChunk sets shards[i] to route(pkts[i]). SubmitBatch calls it
+	// route returns the index of the shard whose ring r joins. It takes
+	// the record by value: a pointer passed through an interface call
+	// escapes, which would cost Submit a heap allocation.
+	route(r record) int
+	// routeChunk sets shards[i] to route(recs[i]). SubmitBatch calls it
 	// once per chunk: an interface dispatch and a by-value copy per
 	// packet measurably slowed its routing loop.
-	routeChunk(pkts []Packet, shards []int)
+	routeChunk(recs []record, shards []int)
 	// decide decides one batch on shard sh, appending one verdict per
 	// packet to dst.
-	decide(sh int, batch []Packet, dst []Decision) []Decision
+	decide(sh int, batch []record, dst []Decision) []Decision
 	// idle runs each time shard sh's ring runs dry, and once more with
 	// final set when the worker exits on a drained ring.
 	idle(sh int, final bool)
@@ -89,9 +92,9 @@ func (e *executor) start(be shardBackend, shards, ringSize, batchSize int, polic
 	e.shedPassed = metrics.NewCounter(shards)
 	e.shedDropped = metrics.NewCounter(shards)
 	e.scratch.New = func() any {
-		sc := &routeScratch{shards: make([]int, submitChunk), byShard: make([][]Packet, shards)}
+		sc := &routeScratch{byShard: make([][]record, shards)}
 		for i := range sc.byShard {
-			sc.byShard[i] = make([]Packet, 0, submitChunk)
+			sc.byShard[i] = make([]record, 0, submitChunk)
 		}
 		return sc
 	}
@@ -112,16 +115,18 @@ func (e *executor) Submit(pkt Packet) {
 	if e.closed.Load() {
 		panic("p2pbound: Submit on closed pipeline")
 	}
-	sh := e.be.route(pkt)
+	var rec record
+	rec.fromPublic(&pkt)
+	sh := e.be.route(rec)
 	r := e.rings[sh]
 	if e.policy == ShedBlock {
 		r.mu.Lock()
-		r.push(pkt)
+		r.push(rec)
 		r.mu.Unlock()
 		return
 	}
 	r.mu.Lock()
-	ok := r.tryPush(pkt)
+	ok := r.tryPush(rec)
 	r.mu.Unlock()
 	if !ok {
 		e.shed(sh, 1)
@@ -137,9 +142,11 @@ func (e *executor) TrySubmit(pkt Packet) bool {
 	if e.closed.Load() {
 		panic("p2pbound: TrySubmit on closed pipeline")
 	}
-	r := e.rings[e.be.route(pkt)]
+	var rec record
+	rec.fromPublic(&pkt)
+	r := e.rings[e.be.route(rec)]
 	r.mu.Lock()
-	ok := r.tryPush(pkt)
+	ok := r.tryPush(rec)
 	r.mu.Unlock()
 	return ok
 }
@@ -164,58 +171,81 @@ func (e *executor) shed(sh, n int) {
 const submitChunk = 512
 
 // SubmitBatch routes a slice of packets. Instead of locking a ring per
-// packet it classifies a chunk into per-shard staging buffers and then
-// publishes each shard's group with one lock acquisition and one ring
-// cursor update — the amortization that lets a single producer outrun
-// several shard workers. Each chunk is published before the next is
-// routed, so routing overlaps deciding. Packets must be in
-// non-decreasing timestamp order (per producer, as with Submit). Under
-// a non-blocking shed
-// policy, packets that do not fit a full shard ring are shed by policy
-// and counted instead of enqueued. It must not be called after Close.
+// packet it converts and classifies a chunk into per-shard staging
+// buffers and then publishes each shard's group with one lock
+// acquisition and one ring cursor update — the amortization that lets a
+// single producer outrun several shard workers. Each chunk is published
+// before the next is routed, so routing overlaps deciding. Packets must
+// be in non-decreasing timestamp order (per producer, as with Submit).
+// Under a non-blocking shed policy, packets that do not fit a full
+// shard ring are shed by policy and counted instead of enqueued. It
+// must not be called after Close.
 func (e *executor) SubmitBatch(pkts []Packet) {
 	if e.closed.Load() {
 		panic("p2pbound: SubmitBatch on closed pipeline")
 	}
 	sc := e.scratch.Get().(*routeScratch)
 	for len(pkts) > 0 {
-		n := len(pkts)
-		if n > submitChunk {
-			n = submitChunk
+		n := min(len(pkts), submitChunk)
+		for i := range pkts[:n] {
+			sc.recs[i].fromPublic(&pkts[i])
 		}
-		chunk := pkts[:n]
+		e.dispatch(sc, sc.recs[:n])
 		pkts = pkts[n:]
-		for i := range sc.byShard {
-			sc.byShard[i] = sc.byShard[i][:0]
-		}
-		e.be.routeChunk(chunk, sc.shards[:n])
-		for i, sh := range sc.shards[:n] {
-			sc.byShard[sh] = append(sc.byShard[sh], chunk[i])
-		}
-		for sh, group := range sc.byShard {
-			if len(group) == 0 {
-				continue
-			}
-			r := e.rings[sh]
-			r.mu.Lock()
-			if e.policy == ShedBlock {
-				r.pushAll(group)
-				r.mu.Unlock()
-				continue
-			}
-			accepted := r.tryPushAll(group)
-			r.mu.Unlock()
-			e.shed(sh, len(group)-accepted)
-		}
 	}
 	e.scratch.Put(sc)
+}
+
+// submitRecords is SubmitBatch for packets already in record form, the
+// ingest paths' output.
+func (e *executor) submitRecords(recs []record) {
+	if e.closed.Load() {
+		panic("p2pbound: SubmitBatch on closed pipeline")
+	}
+	sc := e.scratch.Get().(*routeScratch)
+	for len(recs) > 0 {
+		n := min(len(recs), submitChunk)
+		e.dispatch(sc, recs[:n])
+		recs = recs[n:]
+	}
+	e.scratch.Put(sc)
+}
+
+// dispatch routes one chunk of at most submitChunk records into sc's
+// per-shard staging buffers and publishes each shard's group to its
+// ring.
+func (e *executor) dispatch(sc *routeScratch, chunk []record) {
+	for i := range sc.byShard {
+		sc.byShard[i] = sc.byShard[i][:0]
+	}
+	shards := sc.shards[:len(chunk)]
+	e.be.routeChunk(chunk, shards)
+	for i, sh := range shards {
+		sc.byShard[sh] = append(sc.byShard[sh], chunk[i])
+	}
+	for sh, group := range sc.byShard {
+		if len(group) == 0 {
+			continue
+		}
+		r := e.rings[sh]
+		r.mu.Lock()
+		if e.policy == ShedBlock {
+			r.pushAll(group)
+			r.mu.Unlock()
+			continue
+		}
+		accepted := r.tryPushAll(group)
+		r.mu.Unlock()
+		e.shed(sh, len(group)-accepted)
+	}
 }
 
 // routeScratch is the reusable per-SubmitBatch staging area, pooled so
 // steady-state batch submission does not allocate.
 type routeScratch struct {
-	shards  []int // routeChunk's output for the current chunk
-	byShard [][]Packet
+	recs    [submitChunk]record // SubmitBatch's converted chunk
+	shards  [submitChunk]int    // routeChunk's output for the chunk
+	byShard [][]record
 }
 
 // Drain blocks until every packet submitted before the call has been
@@ -284,7 +314,7 @@ func (e *executor) worker(sh int) {
 		<-e.gate
 	}
 	r := e.rings[sh]
-	batch := make([]Packet, 0, e.batch)
+	batch := make([]record, 0, e.batch)
 	verdicts := make([]Decision, 0, e.batch)
 	for {
 		batch = r.take(batch[:0], e.batch)
@@ -351,7 +381,7 @@ func (e *executor) park(r *ring) {
 // waiters and sleep on doneCond, which the consumer broadcasts after
 // advancing done.
 type ring struct {
-	buf  []Packet
+	buf  []record
 	mask uint64
 	mu   sync.Mutex
 
@@ -372,7 +402,7 @@ type ring struct {
 
 func newRing(size int) *ring {
 	r := &ring{
-		buf:  make([]Packet, size),
+		buf:  make([]record, size),
 		mask: uint64(size - 1),
 		wake: make(chan struct{}, 1),
 	}
@@ -403,7 +433,7 @@ func (r *ring) publish(t uint64) {
 
 // push appends one packet, waiting while the ring is full. Callers hold
 // r.mu.
-func (r *ring) push(p Packet) {
+func (r *ring) push(p record) {
 	t := r.tail.Load()
 	for spin := 0; t-r.head.Load() >= uint64(len(r.buf)); spin++ {
 		idleWait(spin)
@@ -414,7 +444,7 @@ func (r *ring) push(p Packet) {
 
 // tryPush appends one packet if the ring has a free slot, reporting
 // whether it did. Callers hold r.mu.
-func (r *ring) tryPush(p Packet) bool {
+func (r *ring) tryPush(p record) bool {
 	t := r.tail.Load()
 	if t-r.head.Load() >= uint64(len(r.buf)) {
 		return false
@@ -427,7 +457,7 @@ func (r *ring) tryPush(p Packet) bool {
 // tryPushAll appends as much of the group as fits without waiting and
 // returns the count accepted; the caller sheds the remainder. Callers
 // hold r.mu.
-func (r *ring) tryPushAll(pkts []Packet) int {
+func (r *ring) tryPushAll(pkts []record) int {
 	t := r.tail.Load()
 	free := uint64(len(r.buf)) - (t - r.head.Load())
 	n := uint64(len(pkts))
@@ -448,7 +478,7 @@ func (r *ring) tryPushAll(pkts []Packet) int {
 // exceeds the free space it publishes what fits, waking the consumer,
 // and waits for it, so oversized groups drain incrementally rather than
 // deadlocking. Callers hold r.mu.
-func (r *ring) pushAll(pkts []Packet) {
+func (r *ring) pushAll(pkts []record) {
 	t := r.tail.Load()
 	for len(pkts) > 0 {
 		free := uint64(len(r.buf)) - (t - r.head.Load())
@@ -475,7 +505,7 @@ func (r *ring) pushAll(pkts []Packet) {
 // published separately via done.
 //
 //p2p:confined pipeworker
-func (r *ring) take(dst []Packet, max int) []Packet {
+func (r *ring) take(dst []record, max int) []record {
 	h := r.head.Load()
 	avail := r.tail.Load() - h
 	if avail == 0 {

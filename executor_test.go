@@ -2,6 +2,7 @@ package p2pbound
 
 import (
 	"net/netip"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -182,15 +183,15 @@ type idleCounter struct {
 	idles []atomic.Int64
 }
 
-func (b *idleCounter) route(pkt Packet) int { return int(pkt.SrcPort) % len(b.idles) }
+func (b *idleCounter) route(r record) int { return int(r.sport) % len(b.idles) }
 
-func (b *idleCounter) routeChunk(pkts []Packet, shards []int) {
-	for i := range pkts {
-		shards[i] = b.route(pkts[i])
+func (b *idleCounter) routeChunk(recs []record, shards []int) {
+	for i := range recs {
+		shards[i] = b.route(recs[i])
 	}
 }
 
-func (b *idleCounter) decide(sh int, batch []Packet, dst []Decision) []Decision {
+func (b *idleCounter) decide(sh int, batch []record, dst []Decision) []Decision {
 	for range batch {
 		dst = append(dst, Pass)
 	}
@@ -246,5 +247,46 @@ func TestExecutorIdleParks(t *testing.T) {
 	}
 	if passed, _ := e.Verdicts(); passed != 1001 {
 		t.Fatalf("passed %d packets, want 1001", passed)
+	}
+}
+
+// TestRecordLayout pins the executor's packet record at 32 bytes of
+// plain scalars: rings, staging buffers and worker batches copy it per
+// packet, and a pointer would make the garbage collector scan them.
+func TestRecordLayout(t *testing.T) {
+	typ := reflect.TypeOf(record{})
+	if typ.Size() > 32 {
+		t.Fatalf("record is %d bytes, want at most 32", typ.Size())
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		switch f := typ.Field(i); f.Type.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		default:
+			t.Errorf("record field %s has kind %v, want a plain scalar", f.Name, f.Type.Kind())
+		}
+	}
+}
+
+// TestExecutorSubmitBatchAllocationFree guards the executor's steady
+// state on both front ends: once the pooled staging area and the
+// workers' batches exist, SubmitBatch plus Drain allocate nothing,
+// workers included.
+func TestExecutorSubmitBatchAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
+	}
+	pkts := parkPkts(0, 3000)
+	for _, fe := range frontEnds {
+		t.Run(fe.name, func(t *testing.T) {
+			pipe := fe.start(t, Config{ClientNetwork: testNet, Seed: 1}, PipelineConfig{Shards: 2})
+			defer pipe.Close()
+			if avg := testing.AllocsPerRun(20, func() {
+				pipe.SubmitBatch(pkts)
+				pipe.Drain()
+			}); avg != 0 {
+				t.Fatalf("SubmitBatch+Drain allocates %.2f allocs/op, want 0", avg)
+			}
+		})
 	}
 }

@@ -274,3 +274,93 @@ func TestStatsMonotonicUnderLoad(t *testing.T) {
 	done.Store(true)
 	wg.Wait()
 }
+
+// TestDropTraceFields reads sampled drop traces field by field. Uplink
+// load drives P_d to 1, so every unsolicited inbound packet is dropped,
+// and with TraceEveryN 1 every drop is traced: Limiter.Process must
+// trace exactly the dropped packets with their own socket pairs and
+// timestamps — the last one regressed behind the clock, so it was
+// decided at the clamped time but keeps its own timestamp — a P_d of 1,
+// the measured uplink rate and epoch 0. Limiter.ProcessBatch and a
+// one-shard Pipeline must report the same traces.
+func TestDropTraceFields(t *testing.T) {
+	remote := netip.MustParseAddr("9.9.9.9")
+	var pkts, dropped []Packet
+	for i := 0; i < 20; i++ {
+		pkts = append(pkts, outPkt(time.Duration(i)*time.Millisecond, uint16(1000+i), 80, 1500))
+	}
+	for i := 0; i < 10; i++ {
+		dropped = append(dropped, Packet{
+			Timestamp: 100*time.Millisecond + time.Duration(i)*time.Millisecond, Protocol: UDP,
+			SrcAddr: remote, SrcPort: uint16(6881 + i), DstAddr: clientAddr, DstPort: 5000, Size: 200,
+		})
+	}
+	dropped = append(dropped, Packet{
+		Timestamp: 50 * time.Millisecond, Protocol: TCP,
+		SrcAddr: remote, SrcPort: 7000, DstAddr: clientAddr, DstPort: 5001, Size: 300,
+	})
+	pkts = append(pkts, dropped...)
+
+	// tracing returns a Config whose TraceFunc appends to *dst. A
+	// Pipeline calls it from its shard worker, hence the lock.
+	tracing := func(dst *[]DropTrace, mu *sync.Mutex) Config {
+		return Config{
+			ClientNetwork: testNet, LowMbps: 0.001, HighMbps: 0.002, Seed: 7,
+			TraceEveryN: 1,
+			TraceFunc: func(tr DropTrace) {
+				mu.Lock()
+				*dst = append(*dst, tr)
+				mu.Unlock()
+			},
+		}
+	}
+	var mu sync.Mutex
+	var seq, batch, piped []DropTrace
+	l := newLimiter(t, tracing(&seq, &mu))
+	drops := 0
+	for _, p := range pkts {
+		if l.Process(p) == Drop {
+			drops++
+		}
+	}
+	if drops != len(dropped) {
+		t.Fatalf("Process dropped %d packets, want %d", drops, len(dropped))
+	}
+	if len(seq) != len(dropped) {
+		t.Fatalf("Process traced %d drops, want %d", len(seq), len(dropped))
+	}
+	for i, tr := range seq {
+		p := dropped[i]
+		if tr.Timestamp != p.Timestamp || tr.Protocol != p.Protocol ||
+			tr.SrcAddr != p.SrcAddr || tr.SrcPort != p.SrcPort ||
+			tr.DstAddr != p.DstAddr || tr.DstPort != p.DstPort {
+			t.Errorf("trace %d is %+v, want the socket pair and timestamp of %+v", i, tr, p)
+		}
+		if tr.Pd != 1 || tr.Epoch != 0 || tr.UplinkMbps < 0.002 {
+			t.Errorf("trace %d: Pd %v, Epoch %d, UplinkMbps %v; want 1, 0 and at least 0.002", i, tr.Pd, tr.Epoch, tr.UplinkMbps)
+		}
+	}
+
+	lb := newLimiter(t, tracing(&batch, &mu))
+	lb.ProcessBatch(pkts, nil)
+	pipe, err := NewPipeline(tracing(&piped, &mu), PipelineConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe.SubmitBatch(pkts)
+	pipe.Close()
+	for _, got := range []struct {
+		name   string
+		traces []DropTrace
+	}{{"ProcessBatch", batch}, {"Pipeline", piped}} {
+		if len(got.traces) != len(seq) {
+			t.Errorf("%s traced %d drops, Process %d", got.name, len(got.traces), len(seq))
+			continue
+		}
+		for i := range seq {
+			if got.traces[i] != seq[i] {
+				t.Errorf("%s trace %d is %+v, Process traced %+v", got.name, i, got.traces[i], seq[i])
+			}
+		}
+	}
+}

@@ -118,6 +118,71 @@ type Packet struct {
 	Size int
 }
 
+// record is a packet as the library carries it behind the public
+// Packet: 32 bytes with no pointers, so executor rings, staging
+// buffers and worker batches copy it cheaply and the garbage collector
+// never scans them. The executor's submit calls and the ingest paths
+// convert each packet once; deciders fill their chunk scratch from
+// records without touching netip. A record has no direction: a Limiter
+// classifies against its own client network, and a tenant's direction
+// follows from which address routed.
+type record struct {
+	ts           time.Duration
+	size         int
+	src, dst     packet.Addr
+	sport, dport uint16
+	proto        packet.Proto
+	// v4 reports that both addresses are IPv4; a record without it has
+	// zero addresses and is unroutable.
+	v4 bool
+}
+
+// fromPublic sets r from a public packet. A non-IPv4 address on either
+// side (IPv6, IPv4-mapped IPv6, or the zero Addr) gives an unroutable
+// record. The setters store field by field through the pointer: a
+// record built in a local and copied out is stored in pieces and
+// reloaded whole, which stalls store-to-load forwarding.
+//
+//p2p:hotpath
+func (r *record) fromPublic(p *Packet) {
+	r.ts = p.Timestamp
+	r.size = p.Size
+	r.sport, r.dport = p.SrcPort, p.DstPort
+	r.proto = packet.Proto(p.Protocol)
+	r.src, r.dst, r.v4 = 0, 0, false
+	if p.SrcAddr.Is4() && p.DstAddr.Is4() {
+		s, d := p.SrcAddr.As4(), p.DstAddr.As4()
+		r.src = packet.AddrFrom4(s[0], s[1], s[2], s[3])
+		r.dst = packet.AddrFrom4(d[0], d[1], d[2], d[3])
+		r.v4 = true
+	}
+}
+
+// fromDecoded sets r from a decoded (always IPv4) packet.
+//
+//p2p:hotpath
+func (r *record) fromDecoded(p *packet.Packet) {
+	r.ts = p.TS
+	r.size = p.Len
+	r.src, r.dst = p.Pair.SrcAddr, p.Pair.DstAddr
+	r.sport, r.dport = p.Pair.SrcPort, p.Pair.DstPort
+	r.proto = p.Pair.Proto
+	r.v4 = true
+}
+
+// unpack writes r into a decider's chunk scratch with direction dir.
+// Flags and Payload are left alone: no decider reads them.
+//
+//p2p:hotpath
+func (r *record) unpack(dst *packet.Packet, dir packet.Direction) {
+	dst.TS = r.ts
+	dst.Pair.Proto = r.proto
+	dst.Pair.SrcAddr, dst.Pair.SrcPort = r.src, r.sport
+	dst.Pair.DstAddr, dst.Pair.DstPort = r.dst, r.dport
+	dst.Dir = dir
+	dst.Len = r.size
+}
+
 // Config parameterizes a Limiter. The zero value of every optional field
 // selects the paper's evaluation settings.
 type Config struct {
@@ -190,7 +255,9 @@ type Config struct {
 	TraceEveryN int
 	// TraceFunc receives sampled drop traces. It is called synchronously
 	// on the processing goroutine, so it must be fast and must not block;
-	// it must not call back into the limiter.
+	// it must not call back into the limiter. A Pipeline or
+	// TenantPipeline calls it from every shard worker at once, so there
+	// it must be safe for concurrent use.
 	TraceFunc func(DropTrace)
 }
 
@@ -272,14 +339,16 @@ type Limiter struct {
 	tel      *Telemetry
 	telShard int
 
-	// Sampled drop tracing (see Config.TraceEveryN).
+	// Sampled drop tracing (see Config.TraceEveryN). traceFn builds the
+	// DropTrace of a dropped packet's unclamped timestamp and socket pair
+	// and hands it to Config.TraceFunc.
 	traceEvery int64
-	traceFn    func(DropTrace)
+	traceFn    func(ts time.Duration, pair packet.SocketPair, pd, uplinkMbps float64, epoch int64)
 	dropSeen   int64 //p2p:confined limproc
 
-	// scratch is the two-pass batch scratch: one chunk of converted
+	// scratch is the two-pass batch scratch: one chunk of unpacked
 	// internal packets and their routability flags, indexed in lockstep
-	// with the filter's hash scratch (see processChunk). It is allocated
+	// with the filter's hash scratch (see decideChunk). It is allocated
 	// on the first ProcessBatch call rather than inline in the struct:
 	// the fixed arrays dominate the limiter's resident size (~4.5 KiB of
 	// the ~5 KiB struct), and a multi-tenant control plane keeps hundreds
@@ -301,8 +370,9 @@ type Limiter struct {
 	ramp
 }
 
-// batchScratch is the per-chunk conversion scratch behind ProcessBatch;
-// see Limiter.scratch for why it lives behind a pointer.
+// batchScratch is the per-chunk scratch behind ProcessBatch and a
+// pipeline worker's batches; see Limiter.scratch for why it lives
+// behind a pointer.
 type batchScratch struct {
 	bpkts [core.BatchChunk]packet.Packet
 	bok   [core.BatchChunk]bool
@@ -364,7 +434,20 @@ func newShell(cfg Config) (*Limiter, core.Config, error) {
 	coreCfg.ReorderTolerance = cfg.ReorderTolerance
 	if cfg.TraceEveryN > 0 && cfg.TraceFunc != nil {
 		l.traceEvery = int64(cfg.TraceEveryN)
-		l.traceFn = cfg.TraceFunc
+		fn := cfg.TraceFunc
+		l.traceFn = func(ts time.Duration, pair packet.SocketPair, pd, uplinkMbps float64, epoch int64) {
+			fn(DropTrace{
+				Timestamp:  ts,
+				Protocol:   Protocol(pair.Proto),
+				SrcAddr:    addrToNetip(pair.SrcAddr),
+				SrcPort:    pair.SrcPort,
+				DstAddr:    addrToNetip(pair.DstAddr),
+				DstPort:    pair.DstPort,
+				Pd:         pd,
+				UplinkMbps: uplinkMbps,
+				Epoch:      epoch,
+			})
+		}
 	}
 	return l, coreCfg, nil
 }
@@ -389,33 +472,37 @@ func newShell(cfg Config) (*Limiter, core.Config, error) {
 //p2p:hotpath
 //p2p:confined limproc entry
 func (l *Limiter) Process(p Packet) Decision {
+	var r record
+	r.fromPublic(&p)
 	var pkt packet.Packet
-	if !l.toInternal(p, &pkt) {
+	if !l.unpack(&r, &pkt) {
 		l.unroutable.Add(1)
 		return Drop
 	}
 	f := l.filter.Load()
-	d := l.step(f, &p, &pkt, f.Sums(&pkt))
+	d := l.step(f, &pkt, f.Sums(&pkt))
 	f.FlushStats()
 	return d
 }
 
 // step is the one decision step of every path that decides a packet —
-// Process, ProcessBatch, and the tenant manager's batch kernel: clamp
-// the timestamp, Advance the filter, take P_d, run Algorithm 2 over the
-// packet's precomputed indexes (which depend on neither time nor
-// meter), then meter and trace. The filter's counter deltas stay
+// Process, the chunks of ProcessBatch and of a Pipeline worker's
+// batches, and the tenant manager's batch kernel: clamp the timestamp,
+// Advance the filter, take P_d, run Algorithm 2 over the packet's
+// precomputed indexes (which depend on neither time nor meter), then
+// meter and trace. pkt keeps its own timestamp; the clamped one drives
+// the filter, P_d and the meter. The filter's counter deltas stay
 // pending until the caller's FlushStats. Callers run on the limiter's
 // processing goroutine — for a tenant limiter, the goroutine owning
 // its tenant shard.
 //
 //p2p:hotpath
 //p2p:confined limproc entry
-func (l *Limiter) step(f *core.Filter, p *Packet, pkt *packet.Packet, sums []uint32) Decision {
-	l.clampTS(pkt)
-	f.Advance(pkt.TS)
-	pd := l.pd(pkt.TS)
-	return l.decide(f, p, pkt, pd, f.ProcessSums(pkt, sums, pd))
+func (l *Limiter) step(f *core.Filter, pkt *packet.Packet, sums []uint32) Decision {
+	ts := l.clampTS(pkt.TS)
+	f.Advance(ts)
+	pd := l.pd(ts)
+	return l.decide(f, pkt, ts, pd, f.ProcessSums(pkt, sums, pd))
 }
 
 // headers loads the limiter state step reads before the filter — the
@@ -429,38 +516,41 @@ func (l *Limiter) headers() uint64 {
 	return uint64(l.maxTS) + uint64(l.pdUntil) + l.meter.Header()
 }
 
-// clampTS applies the monotonic clock guard to pkt and advances the
-// limiter's notion of now (see Config.ReorderTolerance).
+// clampTS applies the monotonic clock guard to a packet timestamp,
+// advances the limiter's notion of now, and returns the clamped
+// timestamp (see Config.ReorderTolerance).
 //
 //p2p:hotpath
 //p2p:confined limproc
-func (l *Limiter) clampTS(pkt *packet.Packet) {
-	if l.tsStarted && pkt.TS < l.maxTS {
-		if l.maxTS-pkt.TS > l.tolerance {
+func (l *Limiter) clampTS(ts time.Duration) time.Duration {
+	if l.tsStarted && ts < l.maxTS {
+		if l.maxTS-ts > l.tolerance {
 			l.timeAnomalies.Add(1)
 		}
-		pkt.TS = l.maxTS
+		ts = l.maxTS
 	} else {
-		l.maxTS = pkt.TS
+		l.maxTS = ts
 		l.tsStarted = true
 	}
-	l.now = pkt.TS
+	l.now = ts
+	return ts
 }
 
 // decide applies the post-verdict bookkeeping of step — uplink
-// metering, P_d cache invalidation, drop telemetry, and sampled
-// tracing — and maps the filter verdict to a Decision. The limiter's
-// own meter add and invalidation are ramp.add written out, which keeps
-// them inline on the per-packet path.
+// metering of pkt.Len at the clamped time ts, P_d cache invalidation,
+// drop telemetry, and sampled tracing — and maps the filter verdict to
+// a Decision. The limiter's own meter add and invalidation are
+// ramp.add written out, which keeps them inline on the per-packet
+// path.
 //
 //p2p:hotpath
 //p2p:confined limproc
-func (l *Limiter) decide(f *core.Filter, p *Packet, pkt *packet.Packet, pd float64, verdict core.Verdict) Decision {
+func (l *Limiter) decide(f *core.Filter, pkt *packet.Packet, ts time.Duration, pd float64, verdict core.Verdict) Decision {
 	if verdict == core.Pass && pkt.Dir == packet.Outbound {
-		l.meter.Add(pkt.TS, p.Size)
+		l.meter.Add(ts, pkt.Len)
 		l.pdValid = false
 		if l.agg != nil {
-			l.agg.add(pkt.TS, p.Size)
+			l.agg.add(ts, pkt.Len)
 		}
 	}
 	if verdict == core.Drop {
@@ -470,17 +560,7 @@ func (l *Limiter) decide(f *core.Filter, p *Packet, pkt *packet.Packet, pd float
 		if l.traceFn != nil {
 			l.dropSeen++
 			if l.dropSeen%l.traceEvery == 0 {
-				l.traceFn(DropTrace{
-					Timestamp:  p.Timestamp,
-					Protocol:   p.Protocol,
-					SrcAddr:    p.SrcAddr,
-					SrcPort:    p.SrcPort,
-					DstAddr:    p.DstAddr,
-					DstPort:    p.DstPort,
-					Pd:         pd,
-					UplinkMbps: l.meter.Rate(pkt.TS) / 1e6,
-					Epoch:      f.Rotations(),
-				})
+				l.traceFn(pkt.TS, pkt.Pair, pd, l.meter.Rate(ts)/1e6, f.Rotations())
 			}
 		}
 		return Drop
@@ -502,53 +582,83 @@ func (l *Limiter) decide(f *core.Filter, p *Packet, pkt *packet.Packet, pd float
 //
 //p2p:confined limproc entry
 func (l *Limiter) ProcessBatch(pkts []Packet, dst []Decision) []Decision {
-	var start time.Time
-	if l.tel != nil {
-		start = time.Now()
+	start := l.batchStart(len(pkts))
+	for lo := 0; lo < len(pkts); lo += core.BatchChunk {
+		chunk := pkts[lo:min(lo+core.BatchChunk, len(pkts))]
+		sc := l.scratch
+		for i := range chunk {
+			var r record
+			r.fromPublic(&chunk[i])
+			sc.bok[i] = l.unpack(&r, &sc.bpkts[i])
+		}
+		dst = l.decideChunk(len(chunk), dst)
 	}
-	if l.scratch == nil && len(pkts) > 0 {
+	l.batchDone(start, len(pkts))
+	return dst
+}
+
+// processRecords is ProcessBatch over records, the form a Pipeline
+// worker takes from its ring: the same scratch, chunks and decisions.
+// It runs on the limiter's processing goroutine (the shard's worker).
+//
+//p2p:confined limproc entry
+func (l *Limiter) processRecords(recs []record, dst []Decision) []Decision {
+	start := l.batchStart(len(recs))
+	for lo := 0; lo < len(recs); lo += core.BatchChunk {
+		chunk := recs[lo:min(lo+core.BatchChunk, len(recs))]
+		sc := l.scratch
+		for i := range chunk {
+			sc.bok[i] = l.unpack(&chunk[i], &sc.bpkts[i])
+		}
+		dst = l.decideChunk(len(chunk), dst)
+	}
+	l.batchDone(start, len(recs))
+	return dst
+}
+
+// batchStart readies the batch scratch for a batch of n packets and,
+// with telemetry attached, returns the batch's start for batchDone.
+//
+//p2p:confined limproc
+func (l *Limiter) batchStart(n int) time.Time {
+	if l.scratch == nil && n > 0 {
 		// One-time, off the annotated hot path: testing.AllocsPerRun's
 		// warm-up run absorbs it, and steady state never re-allocates.
 		l.scratch = new(batchScratch)
 	}
-	for lo := 0; lo < len(pkts); lo += core.BatchChunk {
-		hi := lo + core.BatchChunk
-		if hi > len(pkts) {
-			hi = len(pkts)
-		}
-		dst = l.processChunk(pkts[lo:hi], dst)
+	if l.tel != nil {
+		return time.Now()
 	}
-	if l.tel != nil && len(pkts) > 0 {
-		l.tel.batchSeconds.Observe(l.telShard, time.Since(start).Seconds())
-	}
-	return dst
+	return time.Time{}
 }
 
-// processChunk runs one two-pass chunk of at most core.BatchChunk
-// packets. Unroutable packets keep their slot — they are hashed as the
-// zero packet in pass A (harmless: the indexes are never used) and
-// defensively dropped in pass B — so the chunk index always equals the
-// filter's scratch index.
+// batchDone records a batch of n packets begun at start in the batch
+// latency histogram, when telemetry is attached.
+func (l *Limiter) batchDone(start time.Time, n int) {
+	if l.tel != nil && n > 0 {
+		l.tel.batchSeconds.Observe(l.telShard, time.Since(start).Seconds())
+	}
+}
+
+// decideChunk runs pass A and pass B over the first n packets of the
+// batch scratch, which the caller has filled. Unroutable packets keep
+// their slot — they are hashed as the zero pair in pass A (harmless:
+// the indexes are never used) and defensively dropped in pass B — so
+// the chunk index always equals the filter's scratch index.
 //
 //p2p:hotpath
 //p2p:confined limproc
-func (l *Limiter) processChunk(chunk []Packet, dst []Decision) []Decision {
+func (l *Limiter) decideChunk(n int, dst []Decision) []Decision {
 	f := l.filter.Load()
 	sc := l.scratch
-	for i := range chunk {
-		sc.bok[i] = l.toInternal(chunk[i], &sc.bpkts[i])
-		if !sc.bok[i] {
-			sc.bpkts[i] = packet.Packet{}
-		}
-	}
-	f.HashBatch(sc.bpkts[:len(chunk)])
-	for i := range chunk {
+	f.HashBatch(sc.bpkts[:n])
+	for i := range sc.bpkts[:n] {
 		if !sc.bok[i] {
 			l.unroutable.Add(1)
 			dst = append(dst, Drop) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 			continue
 		}
-		dst = append(dst, l.step(f, &chunk[i], &sc.bpkts[i], f.Hashed(i))) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
+		dst = append(dst, l.step(f, &sc.bpkts[i], f.Hashed(i))) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 	}
 	f.FlushStats()
 	return dst
@@ -669,27 +779,24 @@ func (l *Limiter) swapFilter(filter *core.Filter) {
 	l.statsMu.Unlock()
 }
 
-// toInternal converts a public Packet into dst. It reports false — and
-// leaves dst undefined — when either address is not IPv4. Writing
-// through a caller-owned value keeps the hot path free of heap
-// allocations (the internal packet never escapes).
+// unpack writes r into dst, classified against the limiter's client
+// network by packet.Classify's rule (a source inside it is outbound),
+// and reports whether r is routable. An unroutable record unpacks as
+// the zero pair, whose indexes are never used.
 //
 //p2p:hotpath
-func (l *Limiter) toInternal(p Packet, dst *packet.Packet) bool {
-	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
-		return false
+func (l *Limiter) unpack(r *record, dst *packet.Packet) bool {
+	dir := packet.Inbound
+	if l.clientNet.Contains(r.src) {
+		dir = packet.Outbound
 	}
-	s, d := p.SrcAddr.As4(), p.DstAddr.As4()
-	pair := packet.SocketPair{
-		Proto:   packet.Proto(p.Protocol),
-		SrcAddr: packet.AddrFrom4(s[0], s[1], s[2], s[3]), SrcPort: p.SrcPort,
-		DstAddr: packet.AddrFrom4(d[0], d[1], d[2], d[3]), DstPort: p.DstPort,
-	}
-	dst.TS = p.Timestamp
-	dst.Pair = pair
-	dst.Dir = packet.Classify(pair, l.clientNet)
-	dst.Len = p.Size
-	return true
+	r.unpack(dst, dir)
+	return r.v4
+}
+
+// addrToNetip converts an internal IPv4 address to a netip.Addr.
+func addrToNetip(a packet.Addr) netip.Addr {
+	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
 }
 
 // SaveState serializes the limiter's bitmap filter — the flow-admission

@@ -81,7 +81,8 @@ type PipelineConfig struct {
 // to their shard ring by ShardedLimiter.ShardOf (both directions of a
 // connection always reach the same shard, so per-shard decisions are
 // identical to running that shard's Limiter sequentially); workers
-// drain their ring in batches through Limiter.ProcessBatch.
+// drain their ring in batches through the chunks and decisions of
+// Limiter.ProcessBatch.
 //
 // Multiple goroutines may Submit/SubmitBatch concurrently — the producer
 // side of each ring is mutex-serialized — but per-shard packet order
@@ -141,20 +142,20 @@ func NewPipeline(cfg Config, pcfg PipelineConfig) (*Pipeline, error) {
 }
 
 // route sends a packet to its connection-hash shard.
-func (p *Pipeline) route(pkt Packet) int { return p.sharded.ShardOf(pkt) }
+func (p *Pipeline) route(r record) int { return p.sharded.shardOf(&r) }
 
-func (p *Pipeline) routeChunk(pkts []Packet, shards []int) {
-	for i := range pkts {
-		shards[i] = p.sharded.ShardOf(pkts[i])
+func (p *Pipeline) routeChunk(recs []record, shards []int) {
+	for i := range recs {
+		shards[i] = p.sharded.shardOf(&recs[i])
 	}
 }
 
-// decide runs one batch through shard sh's Limiter.ProcessBatch, so
-// each core.BatchChunk-sized chunk gets the two-pass hash/probe
-// treatment (DESIGN.md §12), and republishes the shard's offload
+// decide runs one batch through shard sh's Limiter, so each
+// core.BatchChunk-sized chunk gets the two-pass hash/probe treatment
+// of ProcessBatch (DESIGN.md §12), and republishes the shard's offload
 // section every offloadEvery batches.
-func (p *Pipeline) decide(sh int, batch []Packet, dst []Decision) []Decision {
-	dst = p.sharded.shards[sh].ProcessBatch(batch, dst)
+func (p *Pipeline) decide(sh int, batch []record, dst []Decision) []Decision {
+	dst = p.sharded.shards[sh].processRecords(batch, dst)
 	if p.offloadMap != nil {
 		if p.sinceOffload[sh]++; p.sinceOffload[sh] >= p.offloadEvery {
 			// Between batches, on the shard's owning goroutine — the

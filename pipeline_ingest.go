@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net/netip"
 
 	"p2pbound/internal/ingest"
-	"p2pbound/internal/packet"
 	"p2pbound/internal/pcap"
 )
 
@@ -44,30 +42,22 @@ func (p *Pipeline) SubmitPcapStream(r io.Reader) (int64, error) {
 }
 
 // submitIngest drains an ingestion source into the pipeline: each batch
-// the source decodes is translated to public packets in a reused buffer
-// and routed through SubmitBatch, so an arbitrarily large capture flows
+// the source decodes is converted to records in a reused buffer and
+// routed like a SubmitBatch, so an arbitrarily large capture flows
 // through the shard rings with only one batch of packets live at a
 // time. Per-flow timestamp order is preserved because the whole source
 // drains on this one producer goroutine.
 func (p *Pipeline) submitIngest(src ingest.Ingest) (int64, error) {
 	b := ingest.NewBatch(0)
-	pub := make([]Packet, 0, len(b.Pkts))
+	recs := make([]record, len(b.Pkts))
 	var total int64
 	for {
 		n, err := src.ReadBatch(b)
 		if n > 0 {
-			pub = pub[:0]
 			for i := range b.Pkts[:n] {
-				pkt := &b.Pkts[i]
-				pub = append(pub, Packet{
-					Timestamp: pkt.TS,
-					Protocol:  Protocol(pkt.Pair.Proto),
-					SrcAddr:   addrToNetip(pkt.Pair.SrcAddr), SrcPort: pkt.Pair.SrcPort,
-					DstAddr: addrToNetip(pkt.Pair.DstAddr), DstPort: pkt.Pair.DstPort,
-					Size: pkt.Len,
-				})
+				recs[i].fromDecoded(&b.Pkts[i])
 			}
-			p.SubmitBatch(pub)
+			p.submitRecords(recs[:n])
 			total += int64(n)
 		}
 		if err != nil {
@@ -77,8 +67,4 @@ func (p *Pipeline) submitIngest(src ingest.Ingest) (int64, error) {
 			return total, fmt.Errorf("p2pbound: ingest: %w", err)
 		}
 	}
-}
-
-func addrToNetip(a packet.Addr) netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
 }

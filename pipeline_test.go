@@ -234,28 +234,132 @@ func TestPipelineConcurrentProducers(t *testing.T) {
 	}
 }
 
-// TestPipelineUnroutable routes non-IPv4 packets through the pipeline;
-// they must be counted and dropped, not panic the shard router.
-func TestPipelineUnroutable(t *testing.T) {
-	cfg := Config{ClientNetwork: testNet, Seed: 1}
-	pipe, err := NewPipeline(cfg, PipelineConfig{Shards: 2})
+// TestPipelineRouteMatchesShardOf pins the Pipeline's routing to
+// ShardedLimiter.ShardOf, packet by packet, through each submit call:
+// with the workers held, ring i must hold exactly the records of the
+// packets ShardOf sends to shard i, in submission order.
+func TestPipelineRouteMatchesShardOf(t *testing.T) {
+	const shards = 4
+	pkts := goldenShardPkts()
+	cfg := Config{ClientNetwork: testNet}
+	s, err := NewSharded(cfg, shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v6 := netip.MustParseAddr("2001:db8::1")
-	pipe.Submit(Packet{
-		Protocol: TCP,
-		SrcAddr:  v6, SrcPort: 1,
-		DstAddr: netip.MustParseAddr("140.112.0.9"), DstPort: 2,
-		Size: 100,
-	})
-	pipe.Close()
-	if got := pipe.Stats().Unroutable; got != 1 {
-		t.Fatalf("Unroutable = %d, want 1", got)
+	want := make([][]record, shards)
+	for i := range pkts {
+		var r record
+		r.fromPublic(&pkts[i])
+		sh := s.ShardOf(pkts[i])
+		want[sh] = append(want[sh], r)
 	}
-	if _, dropped := pipe.Verdicts(); dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
+	for _, tc := range []struct {
+		name   string
+		submit func(p *Pipeline)
+	}{
+		{"Submit", func(p *Pipeline) {
+			for _, pkt := range pkts {
+				p.Submit(pkt)
+			}
+		}},
+		{"TrySubmit", func(p *Pipeline) {
+			for _, pkt := range pkts {
+				if !p.TrySubmit(pkt) {
+					t.Fatal("TrySubmit refused a packet with room in its ring")
+				}
+			}
+		}},
+		{"SubmitBatch", func(p *Pipeline) { p.SubmitBatch(pkts) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gate := make(chan struct{})
+			pipe, err := NewPipeline(cfg, PipelineConfig{Shards: shards, RingSize: 2 * len(pkts), testGate: gate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.submit(pipe)
+			for sh, r := range pipe.rings {
+				got := r.buf[:r.tail.Load()]
+				if len(got) != len(want[sh]) {
+					t.Errorf("ring %d holds %d packets, ShardOf sends %d there", sh, len(got), len(want[sh]))
+					continue
+				}
+				for i := range got {
+					if got[i] != want[sh][i] {
+						t.Errorf("ring %d slot %d holds %+v, want %+v", sh, i, got[i], want[sh][i])
+					}
+				}
+			}
+			close(gate)
+			pipe.Close()
+			checkDecided(t, pipe, int64(len(pkts)))
+		})
 	}
+}
+
+// TestPipelineUnroutable sends packets with a non-IPv4 address — IPv6,
+// IPv4-mapped IPv6, or the zero Addr, on either side — through every
+// submit call of both front ends: each must be counted unroutable
+// exactly once and dropped, never panic the router.
+func TestPipelineUnroutable(t *testing.T) {
+	cfg := Config{ClientNetwork: testNet, Seed: 1}
+	client := netip.MustParseAddr("140.112.0.9")
+	submits := []struct {
+		name   string
+		submit func(t *testing.T, fe frontEnd, pkts []Packet)
+	}{
+		{"Submit", func(t *testing.T, fe frontEnd, pkts []Packet) {
+			for _, p := range pkts {
+				fe.Submit(p)
+			}
+		}},
+		{"TrySubmit", func(t *testing.T, fe frontEnd, pkts []Packet) {
+			for _, p := range pkts {
+				if !fe.TrySubmit(p) {
+					t.Fatal("TrySubmit refused a packet with room in its ring")
+				}
+			}
+		}},
+		{"SubmitBatch", func(t *testing.T, fe frontEnd, pkts []Packet) { fe.SubmitBatch(pkts) }},
+	}
+	addrs := []struct {
+		name string
+		addr netip.Addr
+	}{
+		{"ipv6", netip.MustParseAddr("2001:db8::1")},
+		{"ipv4-mapped", netip.MustParseAddr("::ffff:8.8.8.8")},
+		{"zero", netip.Addr{}},
+	}
+	for _, fe := range frontEnds {
+		for _, sub := range submits {
+			for _, a := range addrs {
+				t.Run(fe.name+"/"+sub.name+"/"+a.name, func(t *testing.T) {
+					pipe := fe.start(t, cfg, PipelineConfig{Shards: 2})
+					pkts := []Packet{
+						{Protocol: TCP, SrcAddr: a.addr, SrcPort: 1, DstAddr: client, DstPort: 2, Size: 100},
+						{Timestamp: time.Millisecond, Protocol: UDP, SrcAddr: client, SrcPort: 3, DstAddr: a.addr, DstPort: 4, Size: 100},
+					}
+					sub.submit(t, pipe, pkts)
+					pipe.Close()
+					if got := unroutableOf(pipe); got != int64(len(pkts)) {
+						t.Fatalf("Unroutable = %d, want %d", got, len(pkts))
+					}
+					if passed, dropped := pipe.Verdicts(); passed != 0 || dropped != int64(len(pkts)) {
+						t.Fatalf("passed %d, dropped %d; want 0 and %d", passed, dropped, len(pkts))
+					}
+				})
+			}
+		}
+	}
+}
+
+// unroutableOf returns the Unroutable count of a front end: a
+// Pipeline's limiters count them, a TenantPipeline's manager does.
+func unroutableOf(fe frontEnd) int64 {
+	if f, ok := fe.(tenantFrontEnd); ok {
+		return f.m.Stats().Unroutable
+	}
+	return fe.Stats().Unroutable
 }
 
 // TestPipelineCloseIdempotent double-Close and post-Close Stats.

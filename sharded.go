@@ -3,6 +3,8 @@ package p2pbound
 import (
 	"fmt"
 	"time"
+
+	"p2pbound/internal/packet"
 )
 
 // ShardedLimiter distributes packets across independent Limiter shards by
@@ -60,12 +62,20 @@ func (s *ShardedLimiter) Shards() int { return len(s.shards) }
 // ProcessOnShard from the owning goroutine. Unroutable packets (non-IPv4
 // addresses) all map to shard 0, whose Limiter counts and drops them.
 func (s *ShardedLimiter) ShardOf(p Packet) int {
-	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
+	var r record
+	r.fromPublic(&p)
+	return s.shardOf(&r)
+}
+
+// shardOf is ShardOf of a record: the route a Pipeline takes.
+//
+//p2p:hotpath
+func (s *ShardedLimiter) shardOf(r *record) int {
+	if !r.v4 {
 		return 0
 	}
 	// Order-independent endpoint hash: σ and σ̄ must agree.
-	h := connHash(p)
-	return int(h % uint64(len(s.shards)))
+	return int(connHash(r) % uint64(len(s.shards)))
 }
 
 // ProcessOnShard decides a packet on the given shard. The caller must
@@ -126,11 +136,13 @@ func (s *ShardedLimiter) UplinkMbps() float64 {
 
 // connHash hashes the unordered endpoint pair of a packet so both
 // directions of a connection agree.
-func connHash(p Packet) uint64 {
-	a := endpointHash(p.SrcAddr.As4(), p.SrcPort)
-	b := endpointHash(p.DstAddr.As4(), p.DstPort)
+//
+//p2p:hotpath
+func connHash(r *record) uint64 {
+	a := endpointHash(r.src, r.sport)
+	b := endpointHash(r.dst, r.dport)
 	// Commutative combine, then protocol, then mix.
-	h := a ^ b + uint64(p.Protocol)*0x9e3779b97f4a7c15
+	h := a ^ b + uint64(r.proto)*0x9e3779b97f4a7c15
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -139,9 +151,12 @@ func connHash(p Packet) uint64 {
 	return h
 }
 
-func endpointHash(addr [4]byte, port uint16) uint64 {
-	v := uint64(addr[0])<<40 | uint64(addr[1])<<32 | uint64(addr[2])<<24 |
-		uint64(addr[3])<<16 | uint64(port)
+// endpointHash mixes one endpoint, the address's octets above the port
+// (TestShardOfGolden pins the result).
+//
+//p2p:hotpath
+func endpointHash(addr packet.Addr, port uint16) uint64 {
+	v := uint64(addr)<<16 | uint64(port)
 	v *= 0xff51afd7ed558ccd
 	v ^= v >> 33
 	return v

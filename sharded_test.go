@@ -1,6 +1,7 @@
 package p2pbound
 
 import (
+	"math/rand/v2"
 	"net/netip"
 	"sync"
 	"testing"
@@ -43,6 +44,66 @@ func TestShardOfDirectionInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// goldenShardPkts is a seeded set of IPv4 packets over random
+// addresses, ports and protocols.
+func goldenShardPkts() []Packet {
+	rng := rand.New(rand.NewPCG(23, 5))
+	pkts := make([]Packet, 96)
+	for i := range pkts {
+		u, v := rng.Uint32(), rng.Uint32()
+		proto := TCP
+		if rng.IntN(2) == 1 {
+			proto = UDP
+		}
+		pkts[i] = Packet{
+			Timestamp: time.Duration(i) * time.Millisecond,
+			Protocol:  proto,
+			SrcAddr:   netip.AddrFrom4([4]byte{byte(u >> 24), byte(u >> 16), byte(u >> 8), byte(u)}),
+			SrcPort:   uint16(rng.Uint32()),
+			DstAddr:   netip.AddrFrom4([4]byte{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}),
+			DstPort:   uint16(rng.Uint32()),
+			Size:      64 + rng.IntN(1400),
+		}
+	}
+	return pkts
+}
+
+// TestShardOfGolden pins which shard each packet lands on. A deployment
+// binds shards to NIC queues and a Pipeline routes by the same hash, so
+// a change to the connection hash would move flows. Each digit is one
+// packet's shard, recorded from the hash as it stood when the executor
+// still carried public Packets. Unroutable packets go to shard 0.
+func TestShardOfGolden(t *testing.T) {
+	want := map[int]string{
+		2: "100011110100110101000101100110100000110001000011010100000110110101010100010101000100000101100100",
+		4: "100013112100312121220303320310322020312201022011212300020330130301032100030323020302022103302102",
+		8: "504417116100356121220707324314726020352241022415252304060734134741476504434327464742022507346506",
+	}
+	pkts := goldenShardPkts()
+	for _, n := range []int{2, 4, 8} {
+		s, err := NewSharded(Config{ClientNetwork: testNet}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, len(pkts))
+		for i, p := range pkts {
+			got[i] = '0' + byte(s.ShardOf(p))
+		}
+		if string(got) != want[n] {
+			t.Errorf("%d shards:\n got %s\nwant %s", n, got, want[n])
+		}
+		for _, bad := range []netip.Addr{netip.MustParseAddr("2001:db8::1"), netip.MustParseAddr("::ffff:8.8.8.8"), {}} {
+			for _, p := range pkts[:8] {
+				src, dst := p, p
+				src.SrcAddr, dst.DstAddr = bad, bad
+				if a, b := s.ShardOf(src), s.ShardOf(dst); a != 0 || b != 0 {
+					t.Errorf("%d shards: a packet with address %v routes to shards %d and %d, want 0", n, bad, a, b)
+				}
+			}
+		}
 	}
 }
 

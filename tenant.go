@@ -195,6 +195,21 @@ func (rt *routeTable) lookup(src, dst packet.Addr) (t *tenant, key uint32, out b
 	return rt.byKey[key], key, false
 }
 
+// shardOf returns the index of the tenant shard r routes to, or 0 for a
+// record with no subscriber or no IPv4 address: a TenantPipeline
+// carries those to worker 0, which drops them.
+//
+//p2p:hotpath
+func (rt *routeTable) shardOf(r *record) int {
+	if !r.v4 {
+		return 0
+	}
+	if t, _, _ := rt.lookup(r.src, r.dst); t != nil {
+		return t.sh.idx
+	}
+	return 0
+}
+
 // TenantManager multiplexes per-subscriber limiters — O(100k) on one
 // process — behind a single Process/ProcessBatch surface: packets are
 // routed to their subscriber by CIDR, each subscriber runs the paper's
@@ -391,21 +406,6 @@ func (m *TenantManager) shardOfKey(key uint32) *tshard {
 	return m.shards[int(key)%len(m.shards)]
 }
 
-// route resolves a packet to its tenant (see routeTable.lookup). ok is
-// false for unclassifiable (non-IPv4) packets. The lookup is lock-free
-// and allocation-free: one atomic load, a shift, and at most two reads
-// of an immutable map.
-//
-//p2p:hotpath
-func (m *TenantManager) route(p *Packet) (t *tenant, ok bool) {
-	if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
-		return nil, false
-	}
-	s, d := p.SrcAddr.As4(), p.DstAddr.As4()
-	t, _, _ = m.routes.Load().lookup(packet.AddrFrom4(s[0], s[1], s[2], s[3]), packet.AddrFrom4(d[0], d[1], d[2], d[3]))
-	return t, true
-}
-
 // Process routes and decides one packet. A packet matching no
 // registered subscriber is dropped defensively (counted in
 // Stats.NoTenant), exactly as a bare Limiter defensively drops
@@ -415,9 +415,10 @@ func (m *TenantManager) route(p *Packet) (t *tenant, ok bool) {
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) Process(p Packet) Decision {
-	pkts := [1]Packet{p}
+	k := m.kern
+	k.recs[0].fromPublic(&p)
 	var d [1]Decision
-	return m.processBatch(m.kern, nil, pkts[:], d[:0])[0]
+	return m.processBatch(k, nil, k.recs[:1], d[:0])[0]
 }
 
 // ProcessBatch routes and decides a timestamp-sorted slice of packets,
@@ -430,17 +431,28 @@ func (m *TenantManager) Process(p Packet) Decision {
 //
 //p2p:confined tenantshard entry
 func (m *TenantManager) ProcessBatch(pkts []Packet, dst []Decision) []Decision {
-	return m.processBatch(m.kern, nil, pkts, dst)
+	k := m.kern
+	for len(pkts) > 0 {
+		n := min(len(pkts), core.BatchChunk)
+		for i := range pkts[:n] {
+			k.recs[i].fromPublic(&pkts[i])
+		}
+		dst = m.processBatch(k, nil, k.recs[:n], dst)
+		pkts = pkts[n:]
+	}
+	return dst
 }
 
 // tkernel is the scratch of the cross-tenant batch kernel for one chunk
 // of at most core.BatchChunk packets: each packet's tenant (nil when it
-// has none), its internal form, and its m indexes. Every tenant shares
-// the manager's geometry, so one Indexer derives the indexes for all
-// of them.
+// has none), its internal form, and its m indexes, plus the records
+// Process and ProcessBatch convert public packets into. Every tenant
+// shares the manager's geometry, so one Indexer derives the indexes
+// for all of them.
 type tkernel struct {
 	ix   *core.Indexer
 	m    int
+	recs [core.BatchChunk]record
 	tens [core.BatchChunk]*tenant
 	pkts [core.BatchChunk]packet.Packet
 	sums []uint32
@@ -476,22 +488,22 @@ func newTKernel(cfg core.Config) (*tkernel, error) {
 // processing.
 //
 //p2p:confined tenantshard
-func (m *TenantManager) processBatch(k *tkernel, owner *tshard, pkts []Packet, dst []Decision) []Decision {
-	for len(pkts) > 0 {
-		n := m.passA(k, owner, pkts)
-		dst = k.passB(pkts[:n], dst)
-		pkts = pkts[n:]
+func (m *TenantManager) processBatch(k *tkernel, owner *tshard, recs []record, dst []Decision) []Decision {
+	for len(recs) > 0 {
+		n := m.passA(k, owner, recs)
+		dst = k.passB(n, dst)
+		recs = recs[n:]
 	}
 	return dst
 }
 
-// passA prepares the chunk at the head of pkts and returns its length.
+// passA prepares the chunk at the head of recs and returns its length.
 // A chunk ends early rather than hold more distinct tenants than
 // MaxHydratedPerShard, so no hydration in it can evict a tenant the
 // same chunk still has to decide.
 //
 //p2p:confined tenantshard
-func (m *TenantManager) passA(k *tkernel, owner *tshard, pkts []Packet) int {
+func (m *TenantManager) passA(k *tkernel, owner *tshard, recs []record) int {
 	rt := m.routes.Load()
 	limit := m.cfg.MaxHydratedPerShard
 	var chunk uint64
@@ -500,17 +512,15 @@ func (m *TenantManager) passA(k *tkernel, owner *tshard, pkts []Packet) int {
 	}
 	distinct := 0
 	mm := k.m
-	n := min(len(pkts), core.BatchChunk)
+	n := min(len(recs), core.BatchChunk)
 	for i := 0; i < n; i++ {
-		p := &pkts[i]
+		r := &recs[i]
 		k.tens[i] = nil
-		if !p.SrcAddr.Is4() || !p.DstAddr.Is4() {
+		if !r.v4 {
 			m.unroutable.Add(1)
 			continue
 		}
-		s, d := p.SrcAddr.As4(), p.DstAddr.As4()
-		src, dst := packet.AddrFrom4(s[0], s[1], s[2], s[3]), packet.AddrFrom4(d[0], d[1], d[2], d[3])
-		t, key, out := rt.lookup(src, dst)
+		t, key, out := rt.lookup(r.src, r.dst)
 		// A tenant's shard follows from its route key, so the owner
 		// check needs no load of the tenant itself.
 		if t == nil || owner != nil && m.shardOfKey(key) != owner {
@@ -530,16 +540,7 @@ func (m *TenantManager) passA(k *tkernel, owner *tshard, pkts []Packet) int {
 			dir = packet.Outbound
 		}
 		k.tens[i] = t
-		k.pkts[i] = packet.Packet{
-			TS: p.Timestamp,
-			Pair: packet.SocketPair{
-				Proto:   packet.Proto(p.Protocol),
-				SrcAddr: src, SrcPort: p.SrcPort,
-				DstAddr: dst, DstPort: p.DstPort,
-			},
-			Dir: dir,
-			Len: p.Size,
-		}
+		r.unpack(&k.pkts[i], dir)
 	}
 	// Every slot is hashed, tenantless ones included: their indexes are
 	// never read, and one call for the chunk beats a call per packet.
@@ -587,23 +588,23 @@ func (m *TenantManager) passA(k *tkernel, owner *tshard, pkts []Packet) int {
 	return n
 }
 
-// passB decides the chunk pass A prepared, in packet order, appending
-// one Decision per packet to dst, then publishes every decided filter's
-// counters.
+// passB decides the n packets pass A prepared, in packet order,
+// appending one Decision per packet to dst, then publishes every
+// decided filter's counters.
 //
 //p2p:hotpath
-func (k *tkernel) passB(pkts []Packet, dst []Decision) []Decision {
+func (k *tkernel) passB(n int, dst []Decision) []Decision {
 	mm := k.m
-	for i := range pkts {
-		t := k.tens[i]
+	tens := k.tens[:n]
+	for i, t := range tens {
 		if t == nil {
 			dst = append(dst, Drop) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 			continue
 		}
 		l := t.lim
-		dst = append(dst, l.step(l.filter.Load(), &pkts[i], &k.pkts[i], k.sums[i*mm:i*mm+mm])) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
+		dst = append(dst, l.step(l.filter.Load(), &k.pkts[i], k.sums[i*mm:i*mm+mm])) //p2p:bounded cap(dst) is caller-owned; ProcessBatch appends exactly len(pkts)
 	}
-	for _, t := range k.tens[:len(pkts)] {
+	for _, t := range tens {
 		if t != nil {
 			t.lim.filter.Load().FlushStats()
 		}
@@ -889,16 +890,3 @@ func (m *TenantManager) TenantIDs() []string {
 
 // Shards returns the number of tenant shards.
 func (m *TenantManager) Shards() int { return len(m.shards) }
-
-// shardOf returns the tenant shard index a packet routes to, or -1 for
-// packets with no tenant; a TenantPipeline uses it to pick the worker
-// ring.
-//
-//p2p:hotpath
-func (m *TenantManager) shardOf(p *Packet) int {
-	t, _ := m.route(p)
-	if t == nil {
-		return -1
-	}
-	return t.sh.idx
-}

@@ -58,11 +58,12 @@ func NewTenantPipeline(m *TenantManager, pcfg TenantPipelineConfig) *TenantPipel
 // route sends a packet to its subscriber's shard, or to shard 0 for
 // packets with no subscriber (worker 0 applies the manager's
 // defensive-drop policy to them).
-func (p *TenantPipeline) route(pkt Packet) int { return max(p.m.shardOf(&pkt), 0) }
+func (p *TenantPipeline) route(r record) int { return p.m.routes.Load().shardOf(&r) }
 
-func (p *TenantPipeline) routeChunk(pkts []Packet, shards []int) {
-	for i := range pkts {
-		shards[i] = max(p.m.shardOf(&pkts[i]), 0)
+func (p *TenantPipeline) routeChunk(recs []record, shards []int) {
+	rt := p.m.routes.Load()
+	for i := range recs {
+		shards[i] = rt.shardOf(&recs[i])
 	}
 }
 
@@ -72,7 +73,7 @@ func (p *TenantPipeline) routeChunk(pkts []Packet, shards []int) {
 // must only run on shard sh's worker goroutine.
 //
 //p2p:confined tenantshard entry
-func (p *TenantPipeline) decide(sh int, batch []Packet, dst []Decision) []Decision {
+func (p *TenantPipeline) decide(sh int, batch []record, dst []Decision) []Decision {
 	s := p.m.shards[sh]
 	return p.m.processBatch(s.kern, s, batch, dst)
 }
