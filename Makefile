@@ -3,13 +3,17 @@
 
 GO ?= go
 
+# Recipes run under bash with pipefail, so a go test piped into
+# cmd/benchjson fails the target when either side fails.
+SHELL := bash
+.SHELLFLAGS := -o pipefail -c
+
 .PHONY: all build test lint vet fuzz-smoke bench bench-smoke bench-pairs
 
 all: build lint test
 
 build:
 	$(GO) build ./...
-	$(GO) build -tags afpacket ./...
 
 test:
 	$(GO) test -race ./...
@@ -43,9 +47,10 @@ fuzz-smoke:
 # which keeps each benchmark's median, ns/op quartiles and GOMAXPROCS.
 # The committed report is the before/after evidence for hot-path
 # performance work; regenerate it on a quiet machine and commit the
-# result.
+# result. The explicit timeout bounds a hung run; a run that fails or is
+# cut short fails the target and writes no report.
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime 2s -count 6 . | $(GO) run ./cmd/benchjson -o BENCH_p2pbound.json
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime 2s -count 6 -timeout 90m . | $(GO) run ./cmd/benchjson -o BENCH_p2pbound.json
 
 # bench-smoke is the CI form: a fixed tiny iteration count proves the
 # benchmarks still run and the JSON pipeline still parses and folds

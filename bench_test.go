@@ -367,17 +367,14 @@ func BenchmarkHotPath(b *testing.B) {
 // cache-line-blocked layout: the core filter's two-pass batch path at a
 // production table size (k=3 vectors of 2^24 bits = 6 MiB, far beyond
 // L2), m=4, alternating outbound marks and inbound hits in 256-packet
-// batches with P_d = 0. The sub-benchmarks isolate each optimization
-// stage: per-index hashing in the classic layout (the paper's
-// construction), one-shot hashing in the classic layout (hash cost cut,
-// memory behaviour unchanged), and the blocked layout (all m bits in
-// one cache line per vector).
+// batches with P_d = 0. The sub-benchmarks compare the two layouts:
+// classic, with the paper's per-index hashing, and blocked, with the
+// one-shot hash and all m bits in one cache line per vector.
 func BenchmarkFilterProcessBatch(b *testing.B) {
-	run := func(scheme hashes.Scheme, layout hashes.Layout) func(*testing.B) {
+	run := func(layout hashes.Layout) func(*testing.B) {
 		return func(b *testing.B) {
 			f, err := core.New(core.Config{
-				K: 3, NBits: 24, M: 4, DeltaT: time.Hour,
-				HashScheme: scheme, Layout: layout,
+				K: 3, NBits: 24, M: 4, DeltaT: time.Hour, Layout: layout,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -408,9 +405,8 @@ func BenchmarkFilterProcessBatch(b *testing.B) {
 			}
 		}
 	}
-	b.Run("layout=classic/scheme=perindex", run(hashes.SchemePerIndex, hashes.LayoutClassic))
-	b.Run("layout=classic/scheme=oneshot", run(hashes.SchemeOneShot, hashes.LayoutClassic))
-	b.Run("layout=blocked", run(0, hashes.LayoutBlocked))
+	b.Run("layout=classic/scheme=perindex", run(hashes.LayoutClassic))
+	b.Run("layout=blocked", run(hashes.LayoutBlocked))
 }
 
 // BenchmarkLimiterProcessBatch measures the batch form of the hot path

@@ -368,10 +368,11 @@ func TestChaosRestoreStateGeometryMismatch(t *testing.T) {
 	}
 }
 
-// TestRestoreStateRejectsSchemeLayoutMismatch: hash scheme and bit
-// layout are part of snapshot geometry — marks made under one index
-// derivation are meaningless under another, so restoring across a
-// scheme or layout change must fail like any other geometry mismatch.
+// TestRestoreStateRejectsSchemeLayoutMismatch: the bit layout, and the
+// hash scheme it selects, are part of snapshot geometry — marks made
+// under one index derivation are meaningless under another, so
+// restoring across a layout change must fail like any other geometry
+// mismatch.
 func TestRestoreStateRejectsSchemeLayoutMismatch(t *testing.T) {
 	src, err := New(Config{ClientNetwork: "140.112.0.0/16", Layout: LayoutBlocked})
 	if err != nil {
@@ -383,8 +384,7 @@ func TestRestoreStateRejectsSchemeLayoutMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range []Config{
-		{ClientNetwork: "140.112.0.0/16"},                          // default: per-index classic
-		{ClientNetwork: "140.112.0.0/16", HashScheme: HashOneShot}, // one-shot but classic
+		{ClientNetwork: "140.112.0.0/16"}, // default: per-index classic
 	} {
 		dst, err := New(cfg)
 		if err != nil {

@@ -17,14 +17,16 @@
 // "ns_per_op_q1"/"ns_per_op_q3" are the quartiles of ns/op. A benchmark
 // that ran once has no spread fields. The goos/goarch/pkg/cpu header
 // lines are captured so a committed report records what machine
-// produced it. Exits nonzero when the input contains no benchmark
-// results, so a failed benchmark run cannot silently produce an empty
-// artifact.
+// produced it. Exits nonzero, writing nothing, when the input contains
+// no benchmark results, holds a FAIL line, or lacks the PASS or ok line
+// a finished run ends with, so a failed, killed or timed-out benchmark
+// run cannot silently produce an empty or partial artifact.
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -42,6 +44,24 @@ type Report struct {
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
+
+	// failed and passed record go test's status lines: any FAIL line,
+	// and the PASS or ok line that ends a finished run.
+	failed, passed bool
+}
+
+// finished returns an error unless the input was a whole, passing go
+// test run. A benchmark that fails, or a test binary that panics, times
+// out or is killed, leaves a FAIL line or no final PASS/ok line, and
+// its partial results must not become a report.
+func (r *Report) finished() error {
+	switch {
+	case r.failed:
+		return errors.New("the benchmark run failed (FAIL line on stdin)")
+	case !r.passed:
+		return errors.New("stdin ends before go test's final PASS or ok line (was the run cut short?)")
+	}
+	return nil
 }
 
 // Benchmark is one benchmark's `BenchmarkX-P  N  v unit [v unit ...]`
@@ -63,6 +83,9 @@ func main() {
 	out := flag.String("o", "", "write the JSON report to this file (default stdout)")
 	flag.Parse()
 	rep, err := parse(os.Stdin)
+	if err == nil {
+		err = rep.finished()
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
@@ -90,8 +113,8 @@ func main() {
 
 // parse reads go test benchmark output and collects header context and
 // result lines, folding the repeated lines of one benchmark into one
-// entry in the order benchmarks first appear. Unrecognized lines (test
-// output, PASS, ok) are skipped.
+// entry in the order benchmarks first appear, and noting go test's
+// PASS, ok and FAIL status lines. Other lines (test output) are skipped.
 func parse(r io.Reader) (*Report, error) {
 	rep := &Report{Benchmarks: []Benchmark{}}
 	runs := map[string][]map[string]float64{}
@@ -109,6 +132,10 @@ func parse(r io.Reader) (*Report, error) {
 			rep.Pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case line == "PASS" || strings.HasPrefix(line, "ok ") || strings.HasPrefix(line, "ok\t"):
+			rep.passed = true
+		case strings.HasPrefix(line, "FAIL") || strings.HasPrefix(line, "--- FAIL"):
+			rep.failed = true
 		case strings.HasPrefix(line, "Benchmark"):
 			if name, vals, ok := parseResult(line); ok {
 				if runs[name] == nil {

@@ -53,6 +53,34 @@ func TestParseSample(t *testing.T) {
 	}
 }
 
+// TestFinishedRejectsCutRuns: a run whose test binary died part way —
+// a timeout, a panic, a kill — or whose benchmark failed must not pass
+// as a report, however many result lines it printed first.
+func TestFinishedRejectsCutRuns(t *testing.T) {
+	complete, err := parse(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := complete.finished(); err != nil {
+		t.Fatalf("complete run rejected: %v", err)
+	}
+	cut := sample[:strings.Index(sample, "BenchmarkNoMem")]
+	failed := strings.Replace(sample, "PASS\nok  \tp2pbound", "--- FAIL: BenchmarkOffloadPublish\nFAIL\nexit status 1\nFAIL\tp2pbound", 1)
+	timedOut := cut + "panic: test timed out after 10m0s\n\ngoroutine 1 [running]:\nFAIL\tp2pbound\t600.012s\n"
+	for name, in := range map[string]string{"truncated": cut, "failed": failed, "timed out": timedOut} {
+		rep, err := parse(strings.NewReader(in))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(rep.Benchmarks) == 0 {
+			t.Fatalf("%s: fixture holds no results", name)
+		}
+		if err := rep.finished(); err == nil {
+			t.Errorf("%s run accepted with %d results", name, len(rep.Benchmarks))
+		}
+	}
+}
+
 func TestParseRejectsEmpty(t *testing.T) {
 	if _, err := parse(strings.NewReader("PASS\nok p2pbound 1.0s\n")); err == nil {
 		t.Fatal("empty benchmark output accepted")

@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
@@ -137,12 +139,41 @@ func TestRunServesMetricsMidReplay(t *testing.T) {
 		t.Fatalf("bad /debug/pprof/ response (%d):\n%s", code, body)
 	}
 
+	// Wait until the daemon has decided every packet written so far —
+	// each counts once as outbound, inbound or unroutable — so it is
+	// blocked in its read, not still deciding, when the signal lands.
+	decided := func() int {
+		_, body := get("/metrics")
+		n := 0
+		for _, line := range strings.Split(body, "\n") {
+			for _, series := range []string{
+				`p2pbound_packets_total{dir="outbound",shard="0"} `,
+				`p2pbound_packets_total{dir="inbound",shard="0"} `,
+				`p2pbound_unroutable_total{shard="0"} `,
+			} {
+				if v, ok := strings.CutPrefix(line, series); ok {
+					f, err := strconv.ParseFloat(v, 64)
+					if err != nil {
+						t.Fatalf("scraped %q: %v", line, err)
+					}
+					n += int(f)
+				}
+			}
+		}
+		return n
+	}
+	waitFor(t, "every written packet decided", func() bool {
+		return decided() == len(tr.Packets)-1
+	})
+
 	// Deliver the signal while the daemon is blocked reading, then feed
 	// one final packet so the read returns and the loop reaches its
 	// shutdown check — the polling latch always lands on a packet
-	// boundary.
+	// boundary. A daemon that sees the stop between its last flush and
+	// its next read closes the FIFO first, so the write may find the
+	// pipe broken.
 	sigc <- os.Interrupt
-	if err := pw.WritePacket(&tr.Packets[len(tr.Packets)-1]); err != nil {
+	if err := pw.WritePacket(&tr.Packets[len(tr.Packets)-1]); err != nil && !errors.Is(err, syscall.EPIPE) {
 		t.Fatal(err)
 	}
 	select {

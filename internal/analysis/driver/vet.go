@@ -22,9 +22,7 @@ import (
 // command writes for `go vet -vettool` tools (cmd/go/internal/work's
 // vetConfig). Only the fields this driver consumes are declared.
 type vetConfig struct {
-	ID                        string
 	Compiler                  string
-	Dir                       string
 	ImportPath                string
 	GoVersion                 string
 	GoFiles                   []string

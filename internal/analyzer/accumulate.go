@@ -8,10 +8,8 @@ import (
 	"p2pbound/internal/stats"
 )
 
-// accumulator carries every aggregate a Report needs, so connections can
-// be folded in incrementally and evicted from the live table. The paper's
-// analyzer ran online against a gigabit link; this is what keeps our
-// implementation's memory bounded in the same setting.
+// accumulator carries every aggregate a Report needs; BuildReport folds
+// each connection into it.
 type accumulator struct {
 	conns              int
 	tcpConns, udpConns int
@@ -90,37 +88,5 @@ func (acc *accumulator) fold(c *Connection) {
 			acc.udpPorts[l7.ClassAll].Add(float64(p))
 			acc.udpPorts[class].Add(float64(p))
 		}
-	}
-}
-
-// merge absorbs another accumulator.
-func (acc *accumulator) merge(o *accumulator) {
-	acc.conns += o.conns
-	acc.tcpConns += o.tcpConns
-	acc.udpConns += o.udpConns
-	acc.tcpBytes += o.tcpBytes
-	acc.allBytes += o.allBytes
-	acc.upBytes += o.upBytes
-	acc.downBytes += o.downBytes
-	acc.upOnInbound += o.upOnInbound
-	for g, n := range o.groupConns {
-		acc.groupConns[g] += n
-	}
-	for g, n := range o.groupBytes {
-		acc.groupBytes[g] += n
-	}
-	if o.seenAny {
-		if !acc.seenAny || o.firstSeen < acc.firstSeen {
-			acc.firstSeen = o.firstSeen
-		}
-		if o.lastSeen > acc.lastSeen {
-			acc.lastSeen = o.lastSeen
-		}
-		acc.seenAny = true
-	}
-	acc.lifetimes.Merge(&o.lifetimes)
-	for i := range acc.tcpPorts {
-		acc.tcpPorts[i].Merge(&o.tcpPorts[i])
-		acc.udpPorts[i].Merge(&o.udpPorts[i])
 	}
 }

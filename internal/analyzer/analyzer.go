@@ -132,13 +132,6 @@ type Analyzer struct {
 	// timestamp per socket pair.
 	lastOut map[[packet.KeySize]byte]time.Duration
 	delays  []time.Duration
-
-	// acc holds the aggregates of connections evicted from the live
-	// table; BuildReport merges it with the remaining live connections.
-	acc *accumulator
-	now time.Duration
-
-	keyBuf []byte
 }
 
 // ftpPassiveRe extracts the (h1,h2,h3,h4,p1,p2) endpoint from "227
@@ -163,13 +156,11 @@ func New(cfg Config) (*Analyzer, error) {
 		p2pServices: make(map[serviceKey]l7.App),
 		ftpExpected: make(map[serviceKey]time.Duration),
 		lastOut:     make(map[[packet.KeySize]byte]time.Duration, 4096),
-		acc:         newAccumulator(),
 	}, nil
 }
 
 // Feed processes one packet. Packets must arrive in timestamp order.
 func (a *Analyzer) Feed(pkt *packet.Packet) {
-	a.now = pkt.TS
 	conn := a.connectionFor(pkt)
 	a.account(conn, pkt)
 	a.trackDelay(pkt)
@@ -367,31 +358,3 @@ func (a *Analyzer) FinalizePortIdent() {
 		a.identifyByPort(c)
 	}
 }
-
-// Evict folds every connection idle for longer than idleFor into the
-// running aggregates and removes it from the live table, together with
-// its stale out-in delay stamps. This bounds the analyzer's memory during
-// long online runs without changing any reported statistic: BuildReport
-// merges the aggregates back in. It returns the number of connections
-// evicted.
-func (a *Analyzer) Evict(idleFor time.Duration) int {
-	evicted := 0
-	for key, c := range a.conns {
-		if a.now-c.LastSeen <= idleFor {
-			continue
-		}
-		a.identifyByPort(c)
-		a.acc.fold(c)
-		delete(a.conns, key)
-		evicted++
-	}
-	for key, t0 := range a.lastOut {
-		if a.now-t0 > a.cfg.DelayExpiry {
-			delete(a.lastOut, key)
-		}
-	}
-	return evicted
-}
-
-// Live returns the current size of the live connection table.
-func (a *Analyzer) Live() int { return len(a.conns) }

@@ -29,9 +29,7 @@ type Summary struct {
 	Span            time.Duration
 }
 
-// Report computes every Section 3.3 statistic over all connections seen —
-// both the live table and anything already evicted into the running
-// aggregates.
+// Report computes every Section 3.3 statistic over all connections seen.
 type Report struct {
 	Summary   Summary
 	Table2    []Table2Row
@@ -43,12 +41,11 @@ type Report struct {
 	UDPPorts [l7.NumClasses]stats.CDF
 }
 
-// BuildReport assembles the full measurement report from the evicted
-// aggregates plus the live connection table. FinalizePortIdent is applied
-// to live connections implicitly.
+// BuildReport assembles the full measurement report from the
+// connection table. FinalizePortIdent is applied to every connection
+// implicitly.
 func (a *Analyzer) BuildReport() *Report {
 	total := newAccumulator()
-	total.merge(a.acc)
 	for _, c := range a.conns {
 		a.identifyByPort(c)
 		total.fold(c)

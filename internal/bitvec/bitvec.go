@@ -22,14 +22,13 @@
 //     sync.
 //
 // This bounds the per-packet latency contribution of the Δt rotation
-// (Algorithm 1) to one block (clearBlockBytes bytes of memclr) instead of
+// (Algorithm 1) to one block (512 bytes of memclr) instead of
 // a full-vector O(N) spike, while preserving the paper's observation that
 // the clean-up stays simple because "the memory space of a bit vector is
 // fixed and continuous".
 package bitvec
 
 import (
-	"errors"
 	"math/bits"
 	"strconv"
 	"sync/atomic"
@@ -41,9 +40,6 @@ const wordBits = 64
 // words = 4096 bits = 512 bytes of memclr when a stale block is
 // freshened, the bounded unit of deferred clearing work.
 const clearBlockWords = 64
-
-// clearBlockBytes is the memclr granularity of deferred clearing.
-const clearBlockBytes = clearBlockWords * 8
 
 // Vector is a fixed-size bit vector. The zero value is unusable; construct
 // with New.
@@ -65,7 +61,7 @@ type Vector struct {
 	// last one.
 	dirty []uint64
 	// syncs counts the Syncs that consumed dirty and the wholesale
-	// writes (ReadFrom, CopyFrom) that bypassed it. A SyncMark taken at
+	// writes (ReadFrom, LoadWords) that bypassed it. A SyncMark taken at
 	// another count cannot trust the dirty bits.
 	syncs uint64
 }
@@ -255,8 +251,7 @@ func (v *Vector) Clear() {
 
 // StepClear advances the deferred-clear watermark by at most nblocks
 // blocks, physically zeroing any stale ones, and reports whether the
-// sweep has covered the whole vector. Each block is clearBlockBytes
-// bytes, so the caller controls exactly how much memclr latency one call
+// sweep has covered the whole vector. Each block is 512 bytes, so the caller controls exactly how much memclr latency one call
 // may add.
 //
 //p2p:hotpath
@@ -303,24 +298,6 @@ func (v *Vector) OnesCount() int { return v.ones }
 //p2p:hotpath
 func (v *Vector) Utilization() float64 {
 	return float64(v.ones) / float64(v.nbits)
-}
-
-// CopyFrom overwrites this vector with the contents of src. Both vectors
-// must have the same size.
-func (v *Vector) CopyFrom(src *Vector) error {
-	if v.nbits != src.nbits {
-		return errors.New("bitvec: size mismatch: " + strconv.FormatUint(uint64(v.nbits), 10) +
-			" != " + strconv.FormatUint(uint64(src.nbits), 10))
-	}
-	src.normalize()
-	copy(v.words, src.words)
-	for i := range v.blockEpoch {
-		v.blockEpoch[i] = v.epoch
-	}
-	v.sweep = len(v.blockEpoch)
-	v.ones = src.ones
-	v.syncs++
-	return nil
 }
 
 // CopyWords copies the vector's logical words into dst, which must hold

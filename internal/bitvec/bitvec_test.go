@@ -103,7 +103,7 @@ func TestBytes(t *testing.T) {
 	}
 }
 
-func TestCopyFromAndEqual(t *testing.T) {
+func TestLoadWordsAndEqual(t *testing.T) {
 	a := New(256)
 	b := New(256)
 	a.Set(17)
@@ -111,22 +111,31 @@ func TestCopyFromAndEqual(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("different vectors reported equal")
 	}
-	if err := b.CopyFrom(a); err != nil {
-		t.Fatal(err)
-	}
+	words := make([]uint64, len(a.words))
+	a.CopyWords(words)
+	b.LoadWords(words)
 	if !a.Equal(b) {
-		t.Fatal("copied vectors differ")
+		t.Fatal("loaded vector differs from its source")
+	}
+	if b.OnesCount() != 2 {
+		t.Fatalf("OnesCount = %d, want 2", b.OnesCount())
 	}
 	c := New(128)
-	if err := c.CopyFrom(a); err == nil {
-		t.Fatal("CopyFrom with size mismatch succeeded")
-	}
 	if a.Equal(c) {
 		t.Fatal("vectors of different sizes reported equal")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LoadWords with size mismatch did not panic")
+		}
+	}()
+	c.LoadWords(words)
 }
 
-func TestCopyFromPendingClear(t *testing.T) {
+// TestCopyWordsPendingClear spills a vector whose Clear is still
+// deferred into one that is also mid-clear: neither vector's stale
+// blocks may leak through.
+func TestCopyWordsPendingClear(t *testing.T) {
 	src := New(1 << 15)
 	src.Set(3)
 	src.Clear() // deferred
@@ -134,11 +143,11 @@ func TestCopyFromPendingClear(t *testing.T) {
 	dst := New(1 << 15)
 	dst.Set(100)
 	dst.Clear() // dst also mid-clear
-	if err := dst.CopyFrom(src); err != nil {
-		t.Fatal(err)
-	}
+	words := make([]uint64, len(src.words))
+	src.CopyWords(words)
+	dst.LoadWords(words)
 	if dst.Get(3) || dst.Get(100) || !dst.Get(9) {
-		t.Fatalf("CopyFrom ignored deferred clears: Get(3)=%v Get(100)=%v Get(9)=%v",
+		t.Fatalf("CopyWords/LoadWords ignored deferred clears: Get(3)=%v Get(100)=%v Get(9)=%v",
 			dst.Get(3), dst.Get(100), dst.Get(9))
 	}
 	if dst.OnesCount() != 1 {

@@ -64,9 +64,9 @@ func TestDiffAgainstSubsetIsNewBits(t *testing.T) {
 		cur.Set(i*977 + 13)
 	}
 	peer := New(1 << 12)
-	if err := peer.CopyFrom(base); err != nil {
-		t.Fatal(err)
-	}
+	words := make([]uint64, len(base.words))
+	base.CopyWords(words)
+	peer.LoadWords(words)
 	err := cur.DiffBlocks(base, func(blk uint32, xor *[DeltaBlockWords]uint64) {
 		if _, err := peer.MergeBlock(blk, xor); err != nil {
 			t.Fatalf("MergeBlock(%d): %v", blk, err)

@@ -39,7 +39,7 @@ type SyncMark struct {
 // When mark matches the vector — same pointer, clear epoch and sync
 // count — dst equalled the vector at its last Sync, and only the delta
 // blocks marked since are compared. Otherwise (a first sync, a Clear, a
-// ReadFrom or CopyFrom, a different vector, or another image synced in
+// ReadFrom or LoadWords, a different vector, or another image synced in
 // between) every word of dst is compared. Either way Sync consumes the
 // dirty bits and updates mark.
 func (v *Vector) Sync(dst []uint64, mark *SyncMark) error {

@@ -72,12 +72,12 @@ func TestSyncIncrementalTouchesOnlyDirtyBlocks(t *testing.T) {
 func TestSyncFallsBackToFullCompare(t *testing.T) {
 	cases := map[string]func(v *Vector, mark *SyncMark){
 		"clear": func(v *Vector, _ *SyncMark) { v.Clear() },
-		"copyfrom": func(v *Vector, _ *SyncMark) {
+		"loadwords": func(v *Vector, _ *SyncMark) {
 			src := New(v.Len())
 			src.Set(5)
-			if err := v.CopyFrom(src); err != nil {
-				panic(err)
-			}
+			words := make([]uint64, len(src.words))
+			src.CopyWords(words)
+			v.LoadWords(words)
 		},
 		"readfrom": func(v *Vector, _ *SyncMark) {
 			src := New(v.Len())

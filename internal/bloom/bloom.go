@@ -2,8 +2,8 @@
 // paper's reference [9]) that the bitmap filter composes k instances of.
 //
 // Beyond Add/Test it exposes the analytical machinery of Section 5.1:
-// the penetration probability p = U^m of Equation 2, its low-utilization
-// approximation p ≈ (c·m/N)^m of Equation 3, the optimal hash count
+// the low-utilization approximation p ≈ (c·m/N)^m (Equation 3) of the
+// penetration probability p = U^m (Equation 2), the optimal hash count
 // m = e⁻¹·N/c of Equation 5, and the capacity bound c/N ≤ −1/(e·ln p) of
 // Equation 6.
 package bloom
@@ -21,7 +21,6 @@ type Filter struct {
 	vec    *bitvec.Vector
 	family *hashes.Family
 	sums   []uint32
-	adds   int
 }
 
 // New builds a Bloom filter with 2^nbits bits and m hash functions of
@@ -45,7 +44,6 @@ func (f *Filter) Add(key []byte) {
 	for _, h := range f.sums {
 		f.vec.Set(h)
 	}
-	f.adds++
 }
 
 // Test reports whether key may have been added. False positives are
@@ -58,34 +56,6 @@ func (f *Filter) Test(key []byte) bool {
 		}
 	}
 	return true
-}
-
-// Clear resets the filter to empty.
-func (f *Filter) Clear() {
-	f.vec.Clear()
-	f.adds = 0
-}
-
-// Adds returns the number of Add calls since the last Clear.
-func (f *Filter) Adds() int { return f.adds }
-
-// Bits returns the size N of the bit vector.
-func (f *Filter) Bits() uint { return f.vec.Len() }
-
-// Bytes returns the memory footprint of the bit vector.
-func (f *Filter) Bytes() int { return f.vec.Bytes() }
-
-// M returns the number of hash functions.
-func (f *Filter) M() int { return f.family.M() }
-
-// Utilization returns the marked-bit fraction U = b/N.
-func (f *Filter) Utilization() float64 { return f.vec.Utilization() }
-
-// PenetrationProbability returns p = U^m (Equation 2): the probability a
-// random key not in the filter tests positive, given the current
-// utilization.
-func (f *Filter) PenetrationProbability() float64 {
-	return math.Pow(f.Utilization(), float64(f.M()))
 }
 
 // Penetration returns the Equation 3 approximation p ≈ (c·m/N)^m for c

@@ -18,8 +18,8 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f.Bits() != 1024 || f.M() != 3 || f.Bytes() != 128 {
-		t.Fatalf("geometry wrong: bits=%d m=%d bytes=%d", f.Bits(), f.M(), f.Bytes())
+	if f.vec.Len() != 1024 || len(f.sums) != 3 || f.vec.Bytes() != 128 {
+		t.Fatalf("geometry wrong: bits=%d m=%d bytes=%d", f.vec.Len(), len(f.sums), f.vec.Bytes())
 	}
 }
 
@@ -30,7 +30,7 @@ func TestNoFalseNegatives(t *testing.T) {
 		t.Fatal(err)
 	}
 	check := func(keys [][]byte) bool {
-		f.Clear()
+		f.vec.Clear()
 		for _, k := range keys {
 			f.Add(k)
 		}
@@ -46,28 +46,6 @@ func TestNoFalseNegatives(t *testing.T) {
 	}
 }
 
-func TestClearAndAdds(t *testing.T) {
-	f, err := New(2, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.Add([]byte("a"))
-	f.Add([]byte("b"))
-	if f.Adds() != 2 {
-		t.Fatalf("Adds = %d", f.Adds())
-	}
-	if f.Utilization() == 0 {
-		t.Fatal("utilization zero after adds")
-	}
-	f.Clear()
-	if f.Adds() != 0 || f.Utilization() != 0 {
-		t.Fatal("Clear did not reset")
-	}
-	if f.Test([]byte("a")) {
-		t.Fatal("key survives Clear")
-	}
-}
-
 // TestMeasuredFPPMatchesEquation2 fills the filter and compares the
 // measured false-positive rate against p = U^m (Equation 2).
 func TestMeasuredFPPMatchesEquation2(t *testing.T) {
@@ -78,7 +56,7 @@ func TestMeasuredFPPMatchesEquation2(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		f.Add([]byte("member-" + strconv.Itoa(i)))
 	}
-	predicted := f.PenetrationProbability()
+	predicted := math.Pow(f.vec.Utilization(), 3) // Equation 2: p = U^m
 	const probes = 50_000
 	hits := 0
 	for i := 0; i < probes; i++ {
@@ -106,7 +84,7 @@ func TestPenetrationApproximation(t *testing.T) {
 	for i := 0; i < c; i++ {
 		f.Add([]byte("conn-" + strconv.Itoa(i)))
 	}
-	exact := f.PenetrationProbability()
+	exact := math.Pow(f.vec.Utilization(), 3) // Equation 2: p = U^m
 	approx := Penetration(c, 3, 20)
 	if ratio := exact / approx; ratio < 0.7 || ratio > 1.3 {
 		t.Fatalf("Equation 2 (%.6g) vs Equation 3 (%.6g): ratio %.2f", exact, approx, ratio)

@@ -63,16 +63,17 @@ type Config struct {
 	M int
 	// DeltaT is the rotation period Δt.
 	DeltaT time.Duration
-	// HashScheme selects how the m indexes are derived per key: the
-	// per-index family (zero value) or the one-shot 64-bit hash expanded
-	// arithmetically (hashes.SchemeOneShot — one key traversal per
-	// packet regardless of m). Snapshots record the resolved scheme.
+	// HashScheme names how the m indexes are derived per key. The layout
+	// selects it — the per-index family for the classic layout, the
+	// one-shot 64-bit hash for the blocked layout — so leave it zero; a
+	// nonzero value must agree with the layout. Snapshots record the
+	// resolved scheme.
 	HashScheme hashes.Scheme
 	// Layout selects where a key's m bits land: scattered across the
 	// whole vector (zero value) or confined to one 512-bit cache line
 	// (hashes.LayoutBlocked — at most one memory stall per vector
 	// instead of m, for a bounded false-positive-rate increase; see
-	// DESIGN.md §12). The blocked layout implies the one-shot scheme.
+	// DESIGN.md §12).
 	Layout hashes.Layout
 	// HolePunch enables partial-tuple hashing (remote port excluded) so
 	// NAT hole punching keeps working behind the filter (Section 4.2).

@@ -7,10 +7,10 @@ import (
 )
 
 // Indexer derives a packet's m filter indexes for one geometry: m, n,
-// scheme, layout and hole-punch mode. It is the only code that turns a
-// socket pair into filter indexes — filters, the tenant manager's batch
-// kernel, and the offload fast path all derive through it, so a bit
-// means the same socket pair everywhere. Derivation reads the key and
+// layout (which selects the scheme) and hole-punch mode. It is the
+// only code that turns a socket pair into filter indexes — filters,
+// the tenant manager's batch kernel, and the offload fast path all
+// derive through it, so a bit means the same socket pair everywhere. Derivation reads the key and
 // those settings only — never rotation state or the seed — so every
 // filter built from one Config derives the same indexes, and a tenant
 // manager derives each packet's indexes once, whichever subscriber's
@@ -21,7 +21,6 @@ type Indexer struct {
 	m       int
 	enc     packet.KeyEncoder
 	klen    uint64
-	oneshot bool
 	blocked bool
 	hp      bool
 }
@@ -54,7 +53,6 @@ func newIndexer(cfg Config) (Indexer, error) {
 		m:       cfg.M,
 		enc:     packet.NewKeyEncoder(cfg.HolePunch),
 		klen:    klen,
-		oneshot: cfg.HashScheme == hashes.SchemeOneShot,
 		blocked: cfg.Layout == hashes.LayoutBlocked,
 		hp:      cfg.HolePunch,
 	}, nil
@@ -62,12 +60,13 @@ func newIndexer(cfg Config) (Indexer, error) {
 
 // Derive writes the m indexes of each of pkts into sums, packet i's at
 // [i·m, i·m+m). The key is the socket pair as the outbound side sees
-// it, so both directions of a flow derive the same indexes. One-shot
-// derivations hash from the socket-pair fields directly (KeyWords): the
-// key never round-trips through the encoder buffer, whose byte stores
-// and overlapping word loads defeat store-to-load forwarding. The
-// per-index family walks key bytes and keeps the encoder path. The loop
-// body is Into's, written out so a chunk pays no call per packet.
+// it, so both directions of a flow derive the same indexes. The classic
+// layout's per-index family walks key bytes through the encoder. The
+// blocked layout's one-shot hash reads the socket-pair fields directly
+// (KeyWords): the key never round-trips through the encoder buffer,
+// whose byte stores and overlapping word loads defeat store-to-load
+// forwarding. The loop body is Into's, written out so a chunk pays no
+// call per packet.
 //
 //p2p:hotpath
 func (x *Indexer) Derive(sums []uint32, pkts []packet.Packet) {
@@ -75,14 +74,14 @@ func (x *Indexer) Derive(sums []uint32, pkts []packet.Packet) {
 	// pinned behind the opaque hash calls.
 	m := x.m
 	fam := x.family
-	oneshot, blocked, hp, klen := x.oneshot, x.blocked, x.hp, x.klen
+	blocked, hp, klen := x.blocked, x.hp, x.klen
 	for i := range pkts {
 		pair := pkts[i].Pair
 		if pkts[i].Dir != packet.Outbound {
 			pair = pair.Inverse()
 		}
 		group := sums[i*m : i*m+m]
-		if !oneshot {
+		if !blocked {
 			fam.SumInto(group, x.enc.Outbound(pair))
 			continue
 		}
@@ -92,12 +91,7 @@ func (x *Indexer) Derive(sums []uint32, pkts []packet.Packet) {
 		} else {
 			a, b = pair.KeyWords()
 		}
-		h := hashes.Sum64Words(a, b, klen)
-		if blocked {
-			fam.BlockedInto(group, h)
-		} else {
-			fam.DerivedInto(group, h)
-		}
+		fam.BlockedInto(group, hashes.Sum64Words(a, b, klen))
 	}
 }
 
@@ -112,7 +106,7 @@ func (x *Indexer) Into(dst []uint32, pair packet.SocketPair, dir packet.Directio
 	if dir != packet.Outbound {
 		pair = pair.Inverse()
 	}
-	if !x.oneshot {
+	if !x.blocked {
 		x.family.SumInto(dst, x.enc.Outbound(pair))
 		return
 	}
@@ -122,10 +116,5 @@ func (x *Indexer) Into(dst []uint32, pair packet.SocketPair, dir packet.Directio
 	} else {
 		a, b = pair.KeyWords()
 	}
-	h := hashes.Sum64Words(a, b, x.klen)
-	if x.blocked {
-		x.family.BlockedInto(dst, h)
-	} else {
-		x.family.DerivedInto(dst, h)
-	}
+	x.family.BlockedInto(dst, hashes.Sum64Words(a, b, x.klen))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand/v2"
 	"slices"
 	"testing"
 	"time"
@@ -18,14 +19,11 @@ func TestIndexerIntoMatchesDerive(t *testing.T) {
 	geometries := map[string]Config{
 		"per-index":          {M: 3, NBits: 20},
 		"per-index-32":       {M: 4, NBits: 32},
-		"oneshot-classic":    {M: 3, NBits: 20, HashScheme: hashes.SchemeOneShot},
 		"blocked":            {M: 4, NBits: 16, Layout: hashes.LayoutBlocked},
 		"blocked-tiny":       {M: 2, NBits: 8, Layout: hashes.LayoutBlocked},
 		"holepunch":          {M: 3, NBits: 20, HolePunch: true},
-		"holepunch-oneshot":  {M: 3, NBits: 20, HashScheme: hashes.SchemeOneShot, HolePunch: true},
 		"holepunch-blocked":  {M: 3, NBits: 18, Layout: hashes.LayoutBlocked, HolePunch: true},
 		"subword-per-index":  {M: 2, NBits: 4},
-		"subword-oneshot":    {M: 2, NBits: 4, HashScheme: hashes.SchemeOneShot},
 		"one-hash-per-index": {M: 1, NBits: 12},
 	}
 	for name, cfg := range geometries {
@@ -97,5 +95,57 @@ func TestBlockedFPRWithinBound(t *testing.T) {
 	}
 	if blockedFPR > 2*classicFPR {
 		t.Fatalf("blocked FPR %.5f exceeds 2x classic %.5f", blockedFPR, classicFPR)
+	}
+}
+
+// TestIndexerDeriveGolden pins the indexes Derive writes for a seeded
+// set of socket pairs, in both directions, for each geometry a program
+// builds: the paper's classic layout with the per-index family and the
+// blocked layout with the one-shot hash, each with and without hole
+// punching. A filter's bits, its snapshots, offload maps and fleet
+// deltas all mean these indexes, so the digests must not move.
+func TestIndexerDeriveGolden(t *testing.T) {
+	rng := rand.New(rand.NewPCG(24, 7))
+	pkts := make([]packet.Packet, 2*512)
+	for i := 0; i < len(pkts); i += 2 {
+		pair := packet.SocketPair{
+			Proto:   packet.TCP,
+			SrcAddr: packet.Addr(0x8c700000 | rng.Uint32()&0xffff),
+			SrcPort: uint16(rng.Uint32()),
+			DstAddr: packet.Addr(rng.Uint32()),
+			DstPort: uint16(rng.Uint32()),
+		}
+		if rng.IntN(4) == 0 {
+			pair.Proto = packet.UDP
+		}
+		pkts[i] = packet.Packet{Pair: pair, Dir: packet.Outbound}
+		pkts[i+1] = packet.Packet{Pair: pair.Inverse(), Dir: packet.Inbound}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"classic", Config{M: 3, NBits: 20}, 0xc7812a71c2006889},
+		{"classic-holepunch", Config{M: 3, NBits: 20, HolePunch: true}, 0x7550ec0a9444f329},
+		{"blocked", Config{M: 4, NBits: 26, Layout: hashes.LayoutBlocked}, 0x557e0286194b38d5},
+		{"blocked-holepunch", Config{M: 4, NBits: 26, Layout: hashes.LayoutBlocked, HolePunch: true}, 0xd0b0646447499b1d},
+	} {
+		ix, err := NewIndexer(tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums := make([]uint32, len(pkts)*tc.cfg.M)
+		ix.Derive(sums, pkts)
+		h := uint64(14695981039346656037)
+		for _, s := range sums {
+			for b := 0; b < 32; b += 8 {
+				h ^= uint64(byte(s >> b))
+				h *= 1099511628211
+			}
+		}
+		if h != tc.want {
+			t.Errorf("%s: Derive digest %#016x, want %#016x", tc.name, h, tc.want)
+		}
 	}
 }

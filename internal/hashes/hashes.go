@@ -5,11 +5,12 @@
 //
 // The paper leaves the construction open, and the X4 ablation
 // (internal/experiments) shows the choice does not matter for a
-// well-mixed family, so the package keeps one: an FNV-1a based
-// Kirsch–Mitzenmacher double-hashing family (Family.SumInto), plus the
-// one-shot 64-bit key hash (Sum64Words) and its classic and blocked
-// index expansions (DerivedInto, BlockedInto). core.Indexer is the one
-// caller that turns a socket pair into filter indexes with them.
+// well-mixed family, so the package keeps one per layout: an FNV-1a
+// based Kirsch–Mitzenmacher double-hashing family (Family.SumInto) for
+// the paper's classic layout, and the one-shot 64-bit key hash
+// (Sum64Words) with its cache-line expansion (BlockedInto) for the
+// blocked layout. core.Indexer is the one caller that turns a socket
+// pair into filter indexes with them.
 package hashes
 
 import (
@@ -17,21 +18,21 @@ import (
 	"math/bits"
 )
 
-// Scheme selects how the m bit indexes of a key are obtained.
+// Scheme selects how the m bit indexes of a key are obtained. The
+// layout selects it (ResolveSchemeLayout): each layout has exactly one
+// scheme.
 type Scheme int
 
-// Index-derivation schemes. The zero value means SchemePerIndex, the
-// original construction.
+// Index-derivation schemes.
 const (
 	// SchemePerIndex runs the per-index family (Family.SumInto): the
 	// Kirsch–Mitzenmacher expansion of one FNV-1a pass over the key
-	// bytes.
+	// bytes. It is the classic layout's scheme.
 	SchemePerIndex Scheme = iota + 1
 	// SchemeOneShot hashes the key once into 64 bits (Sum64Words) and
 	// derives all m indexes arithmetically from that value — one multiply
-	// per packet instead of FNV's byte-serial chain. Its indexes differ
-	// from SchemePerIndex's for the same key, so the scheme is part of a
-	// filter's geometry and snapshots record it.
+	// per packet instead of FNV's byte-serial chain. It is the blocked
+	// layout's scheme: the high hash bits choose the block.
 	SchemeOneShot
 )
 
@@ -60,8 +61,8 @@ const (
 	// hash, so testing or setting a key costs at most one memory stall
 	// per bit vector instead of m. The block concentration raises the
 	// false positive rate by the block-occupancy variance (Putze et al.;
-	// see DESIGN.md §12 for the bound the tests hold it to). Requires
-	// SchemeOneShot.
+	// see DESIGN.md §12 for the bound the tests hold it to). Derives
+	// with SchemeOneShot.
 	LayoutBlocked
 )
 
@@ -82,40 +83,33 @@ func (l Layout) String() string {
 // LineBits degenerates to a single block covering the whole vector.
 const LineBits = 512
 
-// ResolveSchemeLayout normalizes zero values to the defaults
-// (SchemePerIndex, LayoutClassic) and validates the combination: the
-// blocked layout needs the 64-bit one-shot hash for its block choice,
-// so an unset scheme is upgraded to SchemeOneShot and an explicit
-// SchemePerIndex is rejected.
+// ResolveSchemeLayout returns the scheme the layout selects — the
+// per-index family for the classic layout, the one-shot hash for the
+// blocked layout, whose block choice consumes the high hash bits — and
+// the layout, with a zero layout read as LayoutClassic. A zero scheme
+// means the layout's own; any other scheme is rejected.
 func ResolveSchemeLayout(scheme Scheme, layout Layout) (Scheme, Layout, error) {
-	if layout == 0 {
-		layout = LayoutClassic
-	}
+	var want Scheme
 	switch layout {
-	case LayoutClassic, LayoutBlocked:
+	case 0, LayoutClassic:
+		layout, want = LayoutClassic, SchemePerIndex
+	case LayoutBlocked:
+		want = SchemeOneShot
 	default:
 		return 0, 0, fmt.Errorf("hashes: unknown layout %d", int(layout))
 	}
-	if scheme == 0 {
-		scheme = SchemePerIndex
-		if layout == LayoutBlocked {
-			scheme = SchemeOneShot
-		}
-	}
 	switch scheme {
+	case 0, want:
+		return want, layout, nil
 	case SchemePerIndex, SchemeOneShot:
+		return 0, 0, fmt.Errorf("hashes: the %v layout derives with the %v scheme, not %v", layout, want, scheme)
 	default:
 		return 0, 0, fmt.Errorf("hashes: unknown scheme %d", int(scheme))
 	}
-	if layout == LayoutBlocked && scheme == SchemePerIndex {
-		return 0, 0, fmt.Errorf("hashes: the blocked layout requires the one-shot scheme (the block choice consumes the high hash bits)")
-	}
-	return scheme, layout, nil
 }
 
 // Family computes m n-bit hash values per key.
 type Family struct {
-	m     int
 	mask  uint32
 	nbits uint
 }
@@ -133,14 +127,11 @@ func NewFamily(m int, nbits uint) (*Family, error) {
 	if nbits < 32 {
 		mask = 1<<nbits - 1
 	}
-	return &Family{m: m, mask: mask, nbits: nbits}, nil
+	return &Family{mask: mask, nbits: nbits}, nil
 }
 
-// M returns the number of hash functions in the family.
-func (f *Family) M() int { return f.m }
-
-// SumInto fills dst (length M) with the per-index-scheme indexes of
-// key: the classic expansion (DerivedInto) of one 64-bit FNV-1a pass
+// SumInto fills dst (length m) with the per-index-scheme indexes of
+// key: the classic expansion (derivedInto) of one 64-bit FNV-1a pass
 // finalized with the splitmix64 mixer, whose low and high words are the
 // two independent hashes of the Kirsch–Mitzenmacher construction. (Two
 // 32-bit FNV passes with different bases are affinely related for
@@ -150,7 +141,7 @@ func (f *Family) M() int { return f.m }
 //
 //p2p:hotpath
 func (f *Family) SumInto(dst []uint32, key []byte) {
-	f.DerivedInto(dst, mix64(FNV1a64(key)))
+	f.derivedInto(dst, mix64(FNV1a64(key)))
 }
 
 // Sum64Words is the one-shot 64-bit key hash, over a key of n bytes in
@@ -162,7 +153,7 @@ func (f *Family) SumInto(dst []uint32, key []byte) {
 // the words from in-register fields (packet.SocketPair.KeyWords), never
 // from an encoded key buffer, whose byte stores and overlapping loads
 // defeat store-to-load forwarding. All m indexes of the SchemeOneShot
-// derivations (DerivedInto, BlockedInto) come from this one value.
+// derivation (BlockedInto) come from this one value.
 //
 //p2p:hotpath
 func Sum64Words(a, b, n uint64) uint64 {
@@ -170,12 +161,12 @@ func Sum64Words(a, b, n uint64) uint64 {
 	return mix64(hi ^ lo ^ n*0x9ddfea08eb382d69)
 }
 
-// DerivedInto fills dst (length M) with the classic-layout indexes
-// derived from the one-shot hash h: the Kirsch–Mitzenmacher expansion
+// derivedInto fills dst (length m) with the classic-layout indexes
+// derived from the 64-bit hash h: the Kirsch–Mitzenmacher expansion
 // h1 + i·h2 over the low and high words, truncated to n bits.
 //
 //p2p:hotpath
-func (f *Family) DerivedInto(dst []uint32, h uint64) {
+func (f *Family) derivedInto(dst []uint32, h uint64) {
 	h1 := uint32(h)
 	h2 := uint32(h>>32) | 1 // odd so strides cover the table
 	for i := range dst {
@@ -183,7 +174,7 @@ func (f *Family) DerivedInto(dst []uint32, h uint64) {
 	}
 }
 
-// BlockedInto fills dst (length M) with the blocked-layout indexes
+// BlockedInto fills dst (length m) with the blocked-layout indexes
 // derived from the one-shot hash h. The 512-bit block is chosen by
 // multiply-shift range reduction on the high word of h; the in-block
 // offsets double-hash a remixed copy of h, so the offset stream is

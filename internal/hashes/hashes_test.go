@@ -32,8 +32,8 @@ func TestNewFamilyValidation(t *testing.T) {
 }
 
 // sum returns the m per-index indexes of key.
-func sum(f *Family, key []byte) []uint32 {
-	dst := make([]uint32, f.M())
+func sum(f *Family, m int, key []byte) []uint32 {
+	dst := make([]uint32, m)
 	f.SumInto(dst, key)
 	return dst
 }
@@ -43,7 +43,7 @@ func TestSumCountAndRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range sum(f, []byte("hello world")) {
+	for _, h := range sum(f, 5, []byte("hello world")) {
 		if h >= 1<<10 {
 			t.Fatalf("hash %d exceeds 10-bit range", h)
 		}
@@ -56,8 +56,8 @@ func TestSumDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := []byte{0x13, 'B', 'i', 't', 0xe3, 0x00, 0xff}
-	a := sum(f, key)
-	b := sum(f, key)
+	a := sum(f, 4, key)
+	b := sum(f, 4, key)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("sums differ at %d", i)
@@ -79,8 +79,8 @@ func TestSumSpread(t *testing.T) {
 			return true
 		}
 		trials++
-		ha := sum(f, a)
-		hb := sum(f, b)
+		ha := sum(f, 3, a)
+		hb := sum(f, 3, b)
 		same := true
 		for i := range ha {
 			if ha[i] != hb[i] {
@@ -120,7 +120,7 @@ func TestUniformity(t *testing.T) {
 		key[1] = byte(i >> 8)
 		key[2] = byte(i >> 16)
 		key[7] = byte(i * 7)
-		for _, h := range sum(f, key) {
+		for _, h := range sum(f, 1, key) {
 			counts[h]++
 		}
 	}
@@ -154,7 +154,7 @@ func TestFNVDoubleMatchesDefinition(t *testing.T) {
 	h ^= h >> 31
 	h1 := uint32(h)
 	h2 := uint32(h>>32) | 1
-	for i, got := range sum(f, key) {
+	for i, got := range sum(f, 4, key) {
 		want := (h1 + uint32(i)*h2) & 0xffff
 		if got != want {
 			t.Fatalf("sum[%d] = %d, want %d", i, got, want)

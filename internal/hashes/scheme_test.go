@@ -16,7 +16,7 @@ func TestResolveSchemeLayoutDefaults(t *testing.T) {
 	}{
 		{"zero-zero", 0, 0, SchemePerIndex, LayoutClassic, false},
 		{"explicit-classic", SchemePerIndex, LayoutClassic, SchemePerIndex, LayoutClassic, false},
-		{"oneshot-classic", SchemeOneShot, 0, SchemeOneShot, LayoutClassic, false},
+		{"oneshot-classic", SchemeOneShot, 0, 0, 0, true},
 		{"blocked-implies-oneshot", 0, LayoutBlocked, SchemeOneShot, LayoutBlocked, false},
 		{"blocked-oneshot", SchemeOneShot, LayoutBlocked, SchemeOneShot, LayoutBlocked, false},
 		{"blocked-perindex-rejected", SchemePerIndex, LayoutBlocked, 0, 0, true},
@@ -107,7 +107,7 @@ func TestPerIndexFrozenAgainstOneShot(t *testing.T) {
 				t.Fatalf("trial %d index %d: per-index %d != frozen %d", trial, i, per[i], want)
 			}
 		}
-		if f.DerivedInto(one, keyHash(key[:])); one[0] == per[0] {
+		if f.derivedInto(one, keyHash(key[:])); one[0] == per[0] {
 			agree++
 		}
 	}

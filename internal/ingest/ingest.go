@@ -1,11 +1,11 @@
 // Package ingest is the batch-oriented ingestion tier: it moves decoded
-// packets from a capture source (pcap file, pcap stream, AF_PACKET ring)
-// into caller-owned batches sized for core.Filter.HashBatch /
+// packets from a capture source (a pcap file or a pcap stream) into
+// caller-owned batches sized for core.Filter.HashBatch /
 // ProcessBatch, with zero per-packet allocations in steady state.
 //
 // Ownership contract: a source decodes into the batch the caller passes
-// and may alias packet payloads into its own buffers (the mmap'ed file,
-// the kernel ring). Everything a ReadBatch call returns — packets and
+// and may alias packet payloads into its own buffers (the mmap'ed
+// file). Everything a ReadBatch call returns — packets and
 // payload bytes — is valid only until the next ReadBatch on the same
 // source. Callers that need packets to outlive the batch must copy them
 // (and clone payloads) before reading again.
@@ -49,28 +49,6 @@ func NewBatch(n int) *Batch {
 // never surfaced as errors.
 type Ingest interface {
 	ReadBatch(b *Batch) (int, error)
-}
-
-// SliceSource adapts an in-memory packet slice to the Ingest interface.
-// Packets are copied into the batch, so the slice is never aliased.
-type SliceSource struct {
-	pkts []packet.Packet
-	off  int
-}
-
-// NewSliceSource returns a source draining pkts in order.
-func NewSliceSource(pkts []packet.Packet) *SliceSource {
-	return &SliceSource{pkts: pkts}
-}
-
-// ReadBatch copies the next run of packets into b.
-func (s *SliceSource) ReadBatch(b *Batch) (int, error) {
-	n := copy(b.Pkts, s.pkts[s.off:])
-	s.off += n
-	if s.off == len(s.pkts) {
-		return n, io.EOF
-	}
-	return n, nil
 }
 
 // ReaderSource adapts the streaming pcap.Reader to the Ingest

@@ -144,35 +144,6 @@ func TestMMapVerdictParity(t *testing.T) {
 	}
 }
 
-// TestSliceSourceRoundTrip checks the in-memory adapter preserves the
-// slice exactly across arbitrary batch sizes.
-func TestSliceSourceRoundTrip(t *testing.T) {
-	_, pkts := tracePcap(t, 3*time.Second, 0.05, 13)
-	for _, size := range []int{1, 7, 64, 1000000} {
-		src := ingest.NewSliceSource(pkts)
-		b := ingest.NewBatch(size)
-		var got []packet.Packet
-		for {
-			n, err := src.ReadBatch(b)
-			got = append(got, b.Pkts[:n]...)
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if len(got) != len(pkts) {
-			t.Fatalf("batch size %d: got %d packets, want %d", size, len(got), len(pkts))
-		}
-		for i := range pkts {
-			if !pktEqual(&got[i], &pkts[i]) {
-				t.Fatalf("batch size %d: packet %d diverged", size, i)
-			}
-		}
-	}
-}
-
 // TestMMapTruncatedFile covers every way a mapping can end mid-record:
 // inside the record header, inside the frame, and cleanly. The walker
 // must never read past the mapping and must surface broken framing as

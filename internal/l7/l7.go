@@ -40,11 +40,7 @@ const (
 	SSH
 	HTTPS
 	NTP
-	numApps
 )
-
-// NumApps is the number of distinct App values, for sizing tally arrays.
-const NumApps = int(numApps)
 
 // String names the application.
 func (a App) String() string {

@@ -109,13 +109,6 @@ func (m *Mesh) NextRound() {
 	m.mu.Unlock()
 }
 
-// Round returns the current partition round.
-func (m *Mesh) Round() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.round
-}
-
 // Counters reports lifetime frame accounting: sent includes dropped;
 // delivered counts frames handed to Deliver callbacks (duplicates
 // included once queued).

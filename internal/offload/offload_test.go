@@ -11,22 +11,18 @@ import (
 	"p2pbound/internal/packet"
 )
 
-// offloadConfigs spans every index-derivation path a map must describe:
-// the classic per-index family, the one-shot derived scheme, the
-// blocked cache-line layout, and hole punching (which changes the key
-// bytes, not the hashing) on both schemes.
+// offloadConfigs spans the index-derivation paths a map must describe:
+// the classic layout's per-index family, the blocked cache-line layout's
+// one-shot hash, and hole punching (which changes the key bytes, not
+// the hashing).
 func offloadConfigs() map[string]core.Config {
 	return map[string]core.Config{
 		"classic": {K: 3, NBits: 12, M: 4, DeltaT: time.Second, Seed: 1},
-		"oneshot": {K: 3, NBits: 12, M: 4, DeltaT: time.Second, Seed: 1,
-			HashScheme: hashes.SchemeOneShot},
 		"blocked": {K: 3, NBits: 12, M: 4, DeltaT: time.Second, Seed: 1,
 			Layout: hashes.LayoutBlocked},
 		"holepunch": {K: 3, NBits: 12, M: 4, DeltaT: time.Second, Seed: 1,
 			HolePunch: true},
 		"subword": {K: 2, NBits: 5, M: 2, DeltaT: time.Second, Seed: 1},
-		"oneshot-holepunch": {K: 4, NBits: 10, M: 3, DeltaT: time.Second, Seed: 1,
-			HashScheme: hashes.SchemeOneShot, HolePunch: true},
 	}
 }
 

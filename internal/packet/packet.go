@@ -49,24 +49,6 @@ func AddrFrom4(a, b, c, d byte) Addr {
 	return Addr(uint32(a)<<24 | uint32(b)<<16 | uint32(c)<<8 | uint32(d))
 }
 
-// ParseAddr parses a dotted-quad IPv4 string.
-func ParseAddr(s string) (Addr, error) {
-	ip := net.ParseIP(s)
-	if ip == nil {
-		return 0, fmt.Errorf("packet: invalid IPv4 address %q", s)
-	}
-	v4 := ip.To4()
-	if v4 == nil {
-		return 0, fmt.Errorf("packet: address %q is not IPv4", s)
-	}
-	return AddrFrom4(v4[0], v4[1], v4[2], v4[3]), nil
-}
-
-// IP converts the address to a net.IP.
-func (a Addr) IP() net.IP {
-	return net.IPv4(byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
-}
-
 // String renders the address as a dotted quad.
 func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
@@ -184,18 +166,6 @@ func (s SocketPair) PutKey(dst *[KeySize]byte) {
 	dst[11], dst[12] = byte(s.DstPort>>8), byte(s.DstPort)
 }
 
-// PutHolePunchKey writes the partial-tuple hole-punch encoding of σ
-// ({protocol, source-address, source-port, destination-address}) into
-// dst; the fixed-store analogue of AppendHolePunchKey.
-//
-//p2p:hotpath
-func (s SocketPair) PutHolePunchKey(dst *[HolePunchKeySize]byte) {
-	dst[0] = byte(s.Proto)
-	dst[1], dst[2], dst[3], dst[4] = byte(s.SrcAddr>>24), byte(s.SrcAddr>>16), byte(s.SrcAddr>>8), byte(s.SrcAddr)
-	dst[5], dst[6] = byte(s.SrcPort>>8), byte(s.SrcPort)
-	dst[7], dst[8], dst[9], dst[10] = byte(s.DstAddr>>24), byte(s.DstAddr>>16), byte(s.DstAddr>>8), byte(s.DstAddr)
-}
-
 // KeyEncoder encodes socket pairs into a reusable fixed buffer: the key
 // bytes the per-index hash family walks (the one-shot hash reads the
 // same bytes as KeyWords, without the buffer). The hole-punch encoding
@@ -248,7 +218,7 @@ func (s SocketPair) KeyWords() (a, b uint64) {
 
 // HolePunchKeyWords is KeyWords for the partial-tuple hole-punch key:
 // the little-endian loads of bytes [0,8) and [3,11) of the
-// PutHolePunchKey encoding.
+// AppendHolePunchKey encoding.
 //
 //p2p:hotpath
 func (s SocketPair) HolePunchKeyWords() (a, b uint64) {
@@ -287,13 +257,13 @@ const (
 	RST
 	PSH
 	ACK
-	URG
 )
 
 // Has reports whether all bits in f are set.
 func (t TCPFlags) Has(f TCPFlags) bool { return t&f == f }
 
-// String renders the flags in tcpdump style, e.g. "SA" for SYN+ACK.
+// String renders the flags in tcpdump style, e.g. "SA" for SYN+ACK; bit
+// 5, the urgent flag, prints as U.
 func (t TCPFlags) String() string {
 	const names = "FSRPAU"
 	buf := make([]byte, 0, 6)
@@ -340,13 +310,6 @@ type Packet struct {
 	Len     int // total bytes on the wire (headers + payload)
 	Flags   TCPFlags
 	Payload []byte // nil for packets whose payload is irrelevant
-}
-
-// IsTCPData reports whether the packet is a TCP segment carrying payload.
-//
-//p2p:hotpath
-func (p *Packet) IsTCPData() bool {
-	return p.Pair.Proto == TCP && len(p.Payload) > 0
 }
 
 // Classify returns the packet direction implied by the client network: a

@@ -7,10 +7,6 @@
 //	P_d = 0            if b ≤ L
 //	P_d = (b−L)/(H−L)  if L < b < H
 //	P_d = 1            if b ≥ H
-//
-// An EWMA-smoothed variant in the style of the original RED gateway
-// (Floyd & Jacobson, the paper's reference [10]) is provided as an
-// extension for ablation X1.
 package red
 
 import (
@@ -56,12 +52,6 @@ func (l *Linear) Pd(throughputBps float64) float64 {
 	}
 }
 
-// Low returns the L threshold in bits per second.
-func (l *Linear) Low() float64 { return l.low }
-
-// High returns the H threshold in bits per second.
-func (l *Linear) High() float64 { return l.high }
-
 // Always is a constant prober. Always(1) reproduces the Figure 8
 // configuration, which drops every inbound packet without state.
 type Always float64
@@ -79,48 +69,6 @@ func (a Always) Pd(float64) float64 {
 		return float64(a)
 	}
 }
-
-// EWMA smooths the instantaneous throughput with an exponentially weighted
-// moving average before applying the linear ramp, in the manner of the RED
-// gateway's average queue estimator. This damps reaction to bursts.
-type EWMA struct {
-	ramp   Linear
-	weight float64
-	avg    float64
-	primed bool
-}
-
-// NewEWMA builds a smoothed prober. weight is the EWMA gain w in
-// avg ← (1−w)·avg + w·sample, with 0 < w ≤ 1; the RED paper suggests
-// small weights such as 0.002 for per-packet updates, but per-window
-// updates (as used here) tolerate larger weights such as 0.25.
-func NewEWMA(lowBps, highBps, weight float64) (*EWMA, error) {
-	ramp, err := NewLinear(lowBps, highBps)
-	if err != nil {
-		return nil, err
-	}
-	if weight <= 0 || weight > 1 {
-		return nil, errors.New("red: EWMA weight must be in (0,1], got " + strconv.FormatFloat(weight, 'g', -1, 64))
-	}
-	return &EWMA{ramp: *ramp, weight: weight}, nil
-}
-
-// Pd implements Prober: it folds the sample into the moving average and
-// ramps on the average.
-//
-//p2p:hotpath
-func (e *EWMA) Pd(throughputBps float64) float64 {
-	if !e.primed {
-		e.avg = throughputBps
-		e.primed = true
-	} else {
-		e.avg = (1-e.weight)*e.avg + e.weight*throughputBps
-	}
-	return e.ramp.Pd(e.avg)
-}
-
-// Average returns the current smoothed throughput estimate.
-func (e *EWMA) Average() float64 { return e.avg }
 
 // Combine nests a tenant's drop probability under an aggregate uplink
 // budget: the combined probability is the chance of losing at least one

@@ -232,9 +232,6 @@ func (n *Node) ID() uint32 { return n.id }
 // fail-closed — the safe choice for an enforcement box.
 func (n *Node) Ready() bool { return n.m.ready.Load() != 0 }
 
-// Epoch returns the node's rotation count (the fleet logical clock).
-func (n *Node) Epoch() int64 { return n.f.Rotations() }
-
 // Metrics snapshots the replication telemetry.
 func (n *Node) Metrics() Metrics {
 	return Metrics{

@@ -145,7 +145,6 @@ func TestFingerprint(t *testing.T) {
 		func(c *core.Config) { c.NBits = 13 },
 		func(c *core.Config) { c.M = 4 },
 		func(c *core.Config) { c.DeltaT = 2 * time.Second },
-		func(c *core.Config) { c.HashScheme = hashes.SchemeOneShot },
 		func(c *core.Config) { c.Layout = hashes.LayoutBlocked },
 		func(c *core.Config) { c.HolePunch = true },
 	}
@@ -177,8 +176,8 @@ func TestFingerprintGolden(t *testing.T) {
 	base := core.Config{K: 4, NBits: 20, M: 3, DeltaT: 5 * time.Second}
 	blocked := base
 	blocked.NBits, blocked.Layout = 26, hashes.LayoutBlocked
-	oneShotHP := base
-	oneShotHP.HashScheme, oneShotHP.HolePunch = hashes.SchemeOneShot, true
+	blockedHP := base
+	blockedHP.Layout, blockedHP.HolePunch = hashes.LayoutBlocked, true
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
@@ -186,7 +185,7 @@ func TestFingerprintGolden(t *testing.T) {
 	}{
 		{"paper", base, 0xcef2e8db264c813f},
 		{"blocked-2^26", blocked, 0xd157445e825603c1},
-		{"oneshot-holepunch", oneShotHP, 0x2949db184da7b07d},
+		{"blocked-holepunch", blockedHP, 0xd84e8e5e710864fe},
 	} {
 		if got := Fingerprint(tc.cfg); got != tc.want {
 			t.Errorf("%s: fingerprint %016x, want %016x", tc.name, got, tc.want)

@@ -1,7 +1,7 @@
 // Package stats provides the small statistical toolkit shared by the
 // experiments: empirical CDFs and quantiles (for the port, lifetime and
-// delay distributions of Figures 2–5), fixed-width histograms, and
-// time-bucketed throughput series (for the Figure 9 plots).
+// delay distributions of Figures 2–5) and time-bucketed throughput
+// series (for the Figure 9 plots).
 package stats
 
 import (
@@ -29,15 +29,6 @@ func (c *CDF) AddDuration(d time.Duration) { c.Add(d.Seconds()) }
 
 // N returns the sample count.
 func (c *CDF) N() int { return len(c.samples) }
-
-// Merge appends every sample of o.
-func (c *CDF) Merge(o *CDF) {
-	if len(o.samples) == 0 {
-		return
-	}
-	c.samples = append(c.samples, o.samples...)
-	c.sorted = false
-}
 
 // At returns the fraction of samples ≤ x (0 when empty).
 func (c *CDF) At(x float64) float64 {
@@ -122,53 +113,6 @@ func (c *CDF) sort() {
 type Point struct {
 	X, Y float64
 }
-
-// Histogram counts samples into fixed-width bins over [0, width·bins);
-// samples beyond the range accumulate in an overflow bin.
-type Histogram struct {
-	width    float64
-	counts   []int64
-	overflow int64
-	total    int64
-}
-
-// NewHistogram builds a histogram of n bins of the given width.
-func NewHistogram(width float64, n int) (*Histogram, error) {
-	if width <= 0 || n <= 0 {
-		return nil, fmt.Errorf("stats: histogram needs positive width and bins, got %g×%d", width, n)
-	}
-	return &Histogram{width: width, counts: make([]int64, n)}, nil
-}
-
-// Add counts a sample.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	if x < 0 {
-		x = 0
-	}
-	i := int(x / h.width)
-	if i >= len(h.counts) {
-		h.overflow++
-		return
-	}
-	h.counts[i]++
-}
-
-// Counts returns a copy of the per-bin counts.
-func (h *Histogram) Counts() []int64 {
-	out := make([]int64, len(h.counts))
-	copy(out, h.counts)
-	return out
-}
-
-// Overflow returns the count of samples beyond the binned range.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Total returns the total number of samples.
-func (h *Histogram) Total() int64 { return h.total }
-
-// BinStart returns the lower edge of bin i.
-func (h *Histogram) BinStart(i int) float64 { return float64(i) * h.width }
 
 // TimeSeries accumulates per-bucket byte counts over simulated time and
 // reports them as a bits-per-second series — the black/gray curves of

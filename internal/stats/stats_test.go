@@ -112,29 +112,6 @@ func TestCDFPoints(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	if _, err := NewHistogram(0, 5); err == nil {
-		t.Fatal("zero width accepted")
-	}
-	h, err := NewHistogram(10, 3) // bins [0,10) [10,20) [20,30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{0, 5, 9.99, 15, 25, 31, -3} {
-		h.Add(x)
-	}
-	counts := h.Counts()
-	if counts[0] != 4 || counts[1] != 1 || counts[2] != 1 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if h.Overflow() != 1 || h.Total() != 7 {
-		t.Fatalf("overflow=%d total=%d", h.Overflow(), h.Total())
-	}
-	if h.BinStart(2) != 20 {
-		t.Fatalf("BinStart(2) = %g", h.BinStart(2))
-	}
-}
-
 func TestTimeSeries(t *testing.T) {
 	if _, err := NewTimeSeries(0); err == nil {
 		t.Fatal("zero bucket accepted")

@@ -126,23 +126,3 @@ func (m *Meter) advance(ts time.Duration) {
 		m.headStart += m.bucketWidth
 	}
 }
-
-// Pair bundles an uplink and a downlink meter, the two directions an edge
-// router distinguishes.
-type Pair struct {
-	Up   *Meter
-	Down *Meter
-}
-
-// NewPair builds identical meters for both directions.
-func NewPair(bucketWidth time.Duration, nBuckets int) (*Pair, error) {
-	up, err := NewMeter(bucketWidth, nBuckets)
-	if err != nil {
-		return nil, err
-	}
-	down, err := NewMeter(bucketWidth, nBuckets)
-	if err != nil {
-		return nil, err
-	}
-	return &Pair{Up: up, Down: down}, nil
-}

@@ -103,15 +103,3 @@ func TestBurstThenQuietMatchesWindowAverage(t *testing.T) {
 		t.Fatalf("rate 6s after burst = %g, want 0", got)
 	}
 }
-
-func TestNewPair(t *testing.T) {
-	p, err := NewPair(time.Second, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Up.Add(0, 100)
-	p.Down.Add(0, 900)
-	if p.Up.TotalBytes() != 100 || p.Down.TotalBytes() != 900 {
-		t.Fatal("pair meters are not independent")
-	}
-}

@@ -75,17 +75,21 @@ func (d Decision) String() string {
 	}
 }
 
-// HashScheme selects how the m filter indexes are derived per packet.
+// HashScheme names how the m filter indexes are derived per packet.
+// The layout selects it: HashPerIndex for LayoutClassic and HashOneShot
+// for LayoutBlocked. A zero HashScheme means the layout's scheme; a
+// nonzero one must agree with the layout, or New rejects the
+// configuration.
 type HashScheme int
 
-// Hash schemes. The zero value selects HashPerIndex.
+// Hash schemes.
 const (
 	// HashPerIndex runs m independent hash computations per key — the
-	// paper's construction.
+	// paper's construction, and the classic layout's scheme.
 	HashPerIndex HashScheme = iota + 1
 	// HashOneShot hashes each key once into 64 bits and derives all m
-	// indexes arithmetically (Kirsch–Mitzenmacher), so per-packet hash
-	// cost is independent of m.
+	// indexes arithmetically, so per-packet hash cost is independent of
+	// m. It is the blocked layout's scheme.
 	HashOneShot
 )
 
@@ -99,7 +103,7 @@ const (
 	// LayoutBlocked confines each key's m bits to one 512-bit cache
 	// line per vector, cutting the per-packet memory stalls from m·k to
 	// k at production table sizes, for a bounded false-positive-rate
-	// increase (see DESIGN.md §12). Implies HashOneShot.
+	// increase (see DESIGN.md §12). Derives with HashOneShot.
 	LayoutBlocked
 )
 
@@ -209,15 +213,15 @@ type Config struct {
 	// with Vectors it sets the expiry horizon T_e = k·Δt.
 	RotateEvery time.Duration
 
-	// HashScheme selects how the m indexes are derived from each key
-	// (default HashPerIndex, the paper's construction; HashOneShot
-	// derives all m from one 64-bit hash).
+	// HashScheme names how the m indexes are derived from each key. The
+	// layout selects it (HashPerIndex, the paper's construction, for
+	// LayoutClassic; HashOneShot for LayoutBlocked), so leave it zero; a
+	// nonzero value must agree with Layout.
 	HashScheme HashScheme
 	// Layout selects where a key's m bits land in each vector (default
-	// LayoutClassic; LayoutBlocked confines them to one cache line and
-	// implies HashOneShot). Snapshots record both choices, so restores
-	// across a scheme or layout change are rejected like any other
-	// geometry mismatch.
+	// LayoutClassic; LayoutBlocked confines them to one cache line).
+	// Snapshots record the layout and its scheme, so restores across a
+	// layout change are rejected like any other geometry mismatch.
 	Layout Layout
 
 	// HolePunch hashes partial tuples (remote port excluded) so NAT
@@ -857,7 +861,7 @@ var ErrGeometryMismatch = errors.New("snapshot geometry mismatch")
 // configurations, ignoring operational knobs (seed, reorder tolerance).
 // Zero HashScheme and Layout mean the default derivation, so both sides
 // are resolved before comparing — snapshots always store the resolved
-// values.
+// values — and the layout then decides the scheme too.
 func geometryMismatch(want, got core.Config) error {
 	want, _ = want.Resolve()
 	got, _ = got.Resolve()
@@ -870,8 +874,6 @@ func geometryMismatch(want, got core.Config) error {
 		return fmt.Errorf("%w: m=%d, configured m=%d", ErrGeometryMismatch, got.M, want.M)
 	case want.DeltaT != got.DeltaT:
 		return fmt.Errorf("%w: Δt=%v, configured Δt=%v", ErrGeometryMismatch, got.DeltaT, want.DeltaT)
-	case want.HashScheme != got.HashScheme:
-		return fmt.Errorf("%w: hash scheme %v, configured %v", ErrGeometryMismatch, got.HashScheme, want.HashScheme)
 	case want.Layout != got.Layout:
 		return fmt.Errorf("%w: layout %v, configured %v", ErrGeometryMismatch, got.Layout, want.Layout)
 	case want.HolePunch != got.HolePunch:
