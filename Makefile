@@ -57,13 +57,14 @@ bench:
 # repeated runs, without pretending a shared runner produces meaningful
 # timings.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadProbe|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x -count 2 . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
+	$(GO) test -run '^$$' -bench 'BenchmarkIndexerDerive|BenchmarkFilterProcessBatch|BenchmarkIngestEndToEnd|BenchmarkTenantManagerProcessBatch|BenchmarkOffloadEndToEnd|BenchmarkOffloadProbe|BenchmarkOffloadPublish|BenchmarkPipeline$$' -benchmem -benchtime 5x -count 2 . | $(GO) run ./cmd/benchjson -o BENCH_smoke.json
 	rm -f BENCH_smoke.json
 
-# bench-pairs runs p2pbench on two checkouts in alternating pairs and
-# compares the pairs in which neither run's host drifted
-# (scripts/benchpairs.sh; kept runs land in .bench_pairs/). For example,
-# against a parent checkout made with `git archive`:
+# bench-pairs runs p2pbench on two checkouts in alternating pairs until
+# PAIRS pairs in which neither run's host drifted are kept (at most
+# 3×PAIRS pairs run), and compares those (scripts/benchpairs.sh; kept
+# runs land in .bench_pairs/). For example, against a parent checkout
+# made with `git archive`:
 #   make bench-pairs BASE=../parent WORKLOAD=sharded SEED=1 PAIRS=10
 BASE ?= .
 NEW ?= .

@@ -363,6 +363,47 @@ func BenchmarkHotPath(b *testing.B) {
 	}
 }
 
+// BenchmarkIndexerDerive is the hash layer by itself: core.Indexer
+// deriving the indexes of one BatchChunk of packets per op, alternating
+// outbound and inbound, at the paper's geometry (m=3 over 2^20 bits).
+// The sub-benchmarks are the classic layout's per-index FNV-1a family
+// over the full and the hole-punch key, and the blocked layout's
+// one-shot hash.
+func BenchmarkIndexerDerive(b *testing.B) {
+	run := func(cfg core.Config) func(*testing.B) {
+		return func(b *testing.B) {
+			ix, err := core.NewIndexer(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pkts := make([]packet.Packet, 1<<12)
+			for i := range pkts {
+				pair := benchPair(uint32(i / 2))
+				if i%2 == 0 {
+					pkts[i] = packet.Packet{Pair: pair, Dir: packet.Outbound}
+				} else {
+					pkts[i] = packet.Packet{Pair: pair.Inverse(), Dir: packet.Inbound}
+				}
+			}
+			sums := make([]uint32, core.BatchChunk*cfg.M)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lo := i * core.BatchChunk % len(pkts)
+				ix.Derive(sums, pkts[lo:lo+core.BatchChunk])
+			}
+		}
+	}
+	classic := core.DefaultConfig()
+	holePunch := classic
+	holePunch.HolePunch = true
+	blocked := classic
+	blocked.Layout = hashes.LayoutBlocked
+	b.Run("classic", run(classic))
+	b.Run("classic-holepunch", run(holePunch))
+	b.Run("blocked", run(blocked))
+}
+
 // BenchmarkFilterProcessBatch is the acceptance benchmark of the
 // cache-line-blocked layout: the core filter's two-pass batch path at a
 // production table size (k=3 vectors of 2^24 bits = 6 MiB, far beyond

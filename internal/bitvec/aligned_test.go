@@ -2,6 +2,7 @@ package bitvec
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -65,10 +66,10 @@ func TestAlignedMatchesScalar(t *testing.T) {
 
 // TestOnesCountExactUnderInterleavedOps: the O(1) OnesCount (and thus
 // Utilization, the U of Equation 2) must track the true set cardinality
-// exactly through any interleaving of scalar sets, aligned group sets,
-// deferred clears, and partial sweeps — including across a uint64 epoch
-// wrap, which the test forces by starting the epoch three steps below
-// overflow.
+// exactly through any interleaving of scalar sets, scattered and
+// aligned group sets, deferred clears, and partial sweeps — including
+// across a uint64 epoch wrap, which the test forces by starting the
+// epoch three steps below overflow.
 func TestOnesCountExactUnderInterleavedOps(t *testing.T) {
 	const nbits = 1 << 14
 	r := rand.New(rand.NewPCG(7, 11))
@@ -94,6 +95,12 @@ func TestOnesCountExactUnderInterleavedOps(t *testing.T) {
 			i := r.Uint32() % nbits
 			v.Set(i)
 			ref[i] = true
+		case 6:
+			g := scatteredGroup(r, nbits, 1+r.IntN(6))
+			v.SetAll(g)
+			for _, i := range g {
+				ref[i] = true
+			}
 		default:
 			g := alignedGroup(r, nbits, 1+r.IntN(6))
 			v.SetAligned(g)
@@ -146,5 +153,82 @@ func TestTouchIsPure(t *testing.T) {
 		if v.Get(i) != w.Get(i) {
 			t.Fatalf("Touch changed bit %d", i)
 		}
+	}
+}
+
+// scatteredGroup draws m indexes anywhere in an nbits-bit vector, the
+// classic layout's groups that SetAll marks.
+func scatteredGroup(r *rand.Rand, nbits uint, m int) []uint32 {
+	idx := make([]uint32, m)
+	for i := range idx {
+		idx[i] = r.Uint32() % uint32(nbits)
+	}
+	return idx
+}
+
+// TestSetAllMatchesSet: SetAll is a pure optimization of the per-bit
+// Set loop. Through clears, partial sweeps, syncs and a uint64 epoch
+// wrap, a vector marked by SetAll must hold the same words, stamps,
+// ones count and dirty blocks — the blocks the next Sync visits — as a
+// second vector marked one Set at a time.
+func TestSetAllMatchesSet(t *testing.T) {
+	const nbits = 1 << 13
+	r := rand.New(rand.NewPCG(5, 17))
+	a, b := New(nbits), New(nbits)
+	for _, v := range []*Vector{a, b} {
+		v.epoch = ^uint64(0) - 2
+		v.sweep = 0
+	}
+	imgA, imgB := make([]uint64, len(a.words)), make([]uint64, len(b.words))
+	var markA, markB SyncMark
+	clears := 0
+	for step := 0; step < 5000; step++ {
+		switch r.IntN(12) {
+		case 0: // an occasional logical clear on both
+			if r.IntN(8) == 0 {
+				a.Clear()
+				b.Clear()
+				clears++
+			}
+		case 1, 2: // partial deferred sweep on both
+			n := r.IntN(3)
+			a.StepClear(n)
+			b.StepClear(n)
+		case 3: // a sync consumes the dirty bits of both
+			if err := a.Sync(imgA, &markA); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Sync(imgB, &markB); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(imgA, imgB) {
+				t.Fatalf("step %d: synced images differ", step)
+			}
+		default:
+			g := scatteredGroup(r, nbits, 1+r.IntN(8))
+			if r.IntN(4) == 0 {
+				g = append(g, g[0]) // a repeated index sets nothing twice
+			}
+			a.SetAll(g)
+			for _, i := range g {
+				b.Set(i)
+			}
+		}
+		switch {
+		case a.OnesCount() != b.OnesCount():
+			t.Fatalf("step %d: SetAll ones %d, Set ones %d", step, a.OnesCount(), b.OnesCount())
+		case !slices.Equal(a.words, b.words):
+			t.Fatalf("step %d: words differ", step)
+		case !slices.Equal(a.blockEpoch, b.blockEpoch):
+			t.Fatalf("step %d: clear stamps differ", step)
+		case !slices.Equal(a.dirty, b.dirty):
+			t.Fatalf("step %d: dirty blocks differ", step)
+		}
+	}
+	if clears < 4 {
+		t.Fatalf("only %d clears; epoch wrap not exercised", clears)
+	}
+	if !a.Equal(b) {
+		t.Fatal("SetAll and Set vectors diverged")
 	}
 }

@@ -56,9 +56,9 @@ type Vector struct {
 	ones       int    // logical popcount, maintained incrementally
 	sweep      int    // clear watermark: blocks below are freshened
 	// dirty holds one bit per delta block (DeltaBlockWords words), set
-	// when Set, SetAligned or MergeBlock adds a bit to the block and
-	// cleared by Sync, so a sync visits only the blocks marked since the
-	// last one.
+	// when Set, SetAll, SetAligned or MergeBlock adds a bit to the
+	// block and cleared by Sync, so a sync visits only the blocks marked
+	// since the last one.
 	dirty []uint64
 	// syncs counts the Syncs that consumed dirty and the wholesale
 	// writes (ReadFrom, LoadWords) that bypassed it. A SyncMark taken at
@@ -140,6 +140,35 @@ func (v *Vector) Set(i uint32) {
 		v.ones++
 		v.markDirty(w)
 	}
+}
+
+// SetAll marks every bit in idx: Set for each index, wherever the
+// indexes fall, with the mask, epoch and slices loaded once and the
+// ones counter updated once. Each index still freshens its block if a
+// deferred clear left it stale, and each bit it flips marks its delta
+// block dirty, exactly as Set does. It is the classic layout's marking
+// kernel; SetAligned is the blocked layout's.
+//
+//p2p:hotpath
+func (v *Vector) SetAll(idx []uint32) {
+	words, stamps, dirty := v.words, v.blockEpoch, v.dirty
+	mask, epoch := v.mask, v.epoch
+	added := 0
+	for _, i := range idx {
+		j := uint(i & mask)
+		w := j / wordBits
+		if blk := int(w / clearBlockWords); stamps[blk] != epoch {
+			v.freshen(blk)
+		}
+		bit := uint64(1) << (j % wordBits)
+		if words[w]&bit == 0 {
+			words[w] |= bit
+			added++
+			blk := w / DeltaBlockWords
+			dirty[blk/wordBits] |= 1 << (blk % wordBits)
+		}
+	}
+	v.ones += added
 }
 
 // markDirty records that word w's delta block gained a bit since the

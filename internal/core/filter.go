@@ -610,9 +610,10 @@ func (f *Filter) Mark(pair packet.SocketPair) {
 	f.markSums(f.sums)
 }
 
-// markSums sets the derived indexes in all k bit vectors. In the
-// blocked layout the per-vector group shares one cache line, so the set
-// fan-out costs one potential memory stall per vector instead of m.
+// markSums sets the derived indexes in all k bit vectors, one call per
+// vector. In the blocked layout the per-vector group shares one cache
+// line, so the set fan-out costs one potential memory stall per vector
+// instead of m.
 //
 //p2p:hotpath
 func (f *Filter) markSums(sums []uint32) {
@@ -622,10 +623,8 @@ func (f *Filter) markSums(sums []uint32) {
 		}
 		return
 	}
-	for _, h := range sums {
-		for _, v := range f.vectors {
-			v.Set(h)
-		}
+	for _, v := range f.vectors {
+		v.SetAll(sums)
 	}
 }
 

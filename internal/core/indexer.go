@@ -10,16 +10,16 @@ import (
 // layout (which selects the scheme) and hole-punch mode. It is the
 // only code that turns a socket pair into filter indexes — filters,
 // the tenant manager's batch kernel, and the offload fast path all
-// derive through it, so a bit means the same socket pair everywhere. Derivation reads the key and
-// those settings only — never rotation state or the seed — so every
-// filter built from one Config derives the same indexes, and a tenant
-// manager derives each packet's indexes once, whichever subscriber's
-// filter then decides it. An Indexer carries key-encoding scratch: use
-// one per goroutine.
+// derive through it, so a bit means the same socket pair everywhere.
+// Derivation reads the key and those settings only — never rotation
+// state or the seed — so every filter built from one Config derives
+// the same indexes, and a tenant manager derives each packet's indexes
+// once, whichever subscriber's filter then decides it. Both layouts
+// hash the key as the two words packet.SocketPair.KeyWords computes in
+// registers; an Indexer holds no scratch, so goroutines may share one.
 type Indexer struct {
 	family  *hashes.Family
 	m       int
-	enc     packet.KeyEncoder
 	klen    uint64
 	blocked bool
 	hp      bool
@@ -51,7 +51,6 @@ func newIndexer(cfg Config) (Indexer, error) {
 	return Indexer{
 		family:  family,
 		m:       cfg.M,
-		enc:     packet.NewKeyEncoder(cfg.HolePunch),
 		klen:    klen,
 		blocked: cfg.Layout == hashes.LayoutBlocked,
 		hp:      cfg.HolePunch,
@@ -60,13 +59,17 @@ func newIndexer(cfg Config) (Indexer, error) {
 
 // Derive writes the m indexes of each of pkts into sums, packet i's at
 // [i·m, i·m+m). The key is the socket pair as the outbound side sees
-// it, so both directions of a flow derive the same indexes. The classic
-// layout's per-index family walks key bytes through the encoder. The
-// blocked layout's one-shot hash reads the socket-pair fields directly
-// (KeyWords): the key never round-trips through the encoder buffer,
-// whose byte stores and overlapping word loads defeat store-to-load
-// forwarding. The loop body is Into's, written out so a chunk pays no
-// call per packet.
+// it, so both directions of a flow derive the same indexes. Both
+// layouts read the key as the two words KeyWords (or HolePunchKeyWords)
+// computes from the socket-pair fields: the classic layout's per-index
+// family runs FNV-1a over their bytes (SumWordsInto), the blocked
+// layout's one-shot hash folds them (Sum64Words). The key never goes
+// through a byte buffer, whose stores and reloads defeat store-to-load
+// forwarding, nor through a SocketPair variable: the words come from
+// the packet's own pair or straight from Inverse's result, since a copy
+// of a pair Inverse has just stored field by field stalls the same way
+// (see packet.SocketPair.KeyWords). The loop body is Into's, written
+// out so a chunk pays no call per packet.
 //
 //p2p:hotpath
 func (x *Indexer) Derive(sums []uint32, pkts []packet.Packet) {
@@ -76,22 +79,24 @@ func (x *Indexer) Derive(sums []uint32, pkts []packet.Packet) {
 	fam := x.family
 	blocked, hp, klen := x.blocked, x.hp, x.klen
 	for i := range pkts {
-		pair := pkts[i].Pair
-		if pkts[i].Dir != packet.Outbound {
-			pair = pair.Inverse()
+		pair, out := &pkts[i].Pair, pkts[i].Dir == packet.Outbound
+		var a, b uint64
+		switch {
+		case out && !hp:
+			a, b = pair.KeyWords()
+		case out:
+			a, b = pair.HolePunchKeyWords()
+		case !hp:
+			a, b = pair.Inverse().KeyWords()
+		default:
+			a, b = pair.Inverse().HolePunchKeyWords()
 		}
 		group := sums[i*m : i*m+m]
-		if !blocked {
-			fam.SumInto(group, x.enc.Outbound(pair))
-			continue
-		}
-		var a, b uint64
-		if hp {
-			a, b = pair.HolePunchKeyWords()
+		if blocked {
+			fam.BlockedInto(group, hashes.Sum64Words(a, b, klen))
 		} else {
-			a, b = pair.KeyWords()
+			fam.SumWordsInto(group, a, b, klen)
 		}
-		fam.BlockedInto(group, hashes.Sum64Words(a, b, klen))
 	}
 }
 
@@ -103,18 +108,21 @@ func (x *Indexer) Derive(sums []uint32, pkts []packet.Packet) {
 //
 //p2p:hotpath
 func (x *Indexer) Into(dst []uint32, pair packet.SocketPair, dir packet.Direction) {
-	if dir != packet.Outbound {
-		pair = pair.Inverse()
-	}
-	if !x.blocked {
-		x.family.SumInto(dst, x.enc.Outbound(pair))
-		return
-	}
+	out := dir == packet.Outbound
 	var a, b uint64
-	if x.hp {
-		a, b = pair.HolePunchKeyWords()
-	} else {
+	switch {
+	case out && !x.hp:
 		a, b = pair.KeyWords()
+	case out:
+		a, b = pair.HolePunchKeyWords()
+	case !x.hp:
+		a, b = pair.Inverse().KeyWords()
+	default:
+		a, b = pair.Inverse().HolePunchKeyWords()
 	}
-	x.family.BlockedInto(dst, hashes.Sum64Words(a, b, x.klen))
+	if x.blocked {
+		x.family.BlockedInto(dst, hashes.Sum64Words(a, b, x.klen))
+	} else {
+		x.family.SumWordsInto(dst, a, b, x.klen)
+	}
 }

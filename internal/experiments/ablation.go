@@ -68,8 +68,8 @@ func diverge(packets []packet.Packet, cfg core.Config, derive func(dst []uint32,
 	if err != nil {
 		return Divergence{}, err
 	}
-	enc := packet.NewKeyEncoder(cfg.HolePunch)
 	own := make([]uint32, cfg.M)
+	key := make([]byte, 0, packet.KeySize)
 	var d Divergence
 	for i := range packets {
 		pkt := &packets[i]
@@ -83,7 +83,12 @@ func diverge(packets []packet.Packet, cfg core.Config, derive func(dst []uint32,
 			if pkt.Dir != packet.Outbound {
 				pair = pair.Inverse()
 			}
-			derive(sums, enc.Outbound(pair))
+			if cfg.HolePunch {
+				key = pair.AppendHolePunchKey(key[:0])
+			} else {
+				key = pair.AppendKey(key[:0])
+			}
+			derive(sums, key)
 		}
 		if pkt.Dir == packet.Inbound {
 			d.Inbound++

@@ -6,10 +6,12 @@
 // The paper leaves the construction open, and the X4 ablation
 // (internal/experiments) shows the choice does not matter for a
 // well-mixed family, so the package keeps one per layout: an FNV-1a
-// based Kirsch–Mitzenmacher double-hashing family (Family.SumInto) for
-// the paper's classic layout, and the one-shot 64-bit key hash
+// based Kirsch–Mitzenmacher double-hashing family (Family.SumWordsInto)
+// for the paper's classic layout, and the one-shot 64-bit key hash
 // (Sum64Words) with its cache-line expansion (BlockedInto) for the
-// blocked layout. core.Indexer is the one caller that turns a socket
+// blocked layout. Both read a key as its two overlapping little-endian
+// words; Family.SumInto runs the classic family over key bytes, for
+// internal/bloom. core.Indexer is the one caller that turns a socket
 // pair into filter indexes with them.
 package hashes
 
@@ -25,8 +27,8 @@ type Scheme int
 
 // Index-derivation schemes.
 const (
-	// SchemePerIndex runs the per-index family (Family.SumInto): the
-	// Kirsch–Mitzenmacher expansion of one FNV-1a pass over the key
+	// SchemePerIndex runs the per-index family (Family.SumWordsInto):
+	// the Kirsch–Mitzenmacher expansion of one FNV-1a pass over the key
 	// bytes. It is the classic layout's scheme.
 	SchemePerIndex Scheme = iota + 1
 	// SchemeOneShot hashes the key once into 64 bits (Sum64Words) and
@@ -144,6 +146,15 @@ func (f *Family) SumInto(dst []uint32, key []byte) {
 	f.derivedInto(dst, mix64(FNV1a64(key)))
 }
 
+// SumWordsInto is SumInto over a key of n bytes given as the two
+// overlapping words Sum64Words takes (FNV1a64Words): the same indexes,
+// from a key that was never written to memory.
+//
+//p2p:hotpath
+func (f *Family) SumWordsInto(dst []uint32, a, b, n uint64) {
+	f.derivedInto(dst, mix64(FNV1a64Words(a, b, n)))
+}
+
 // Sum64Words is the one-shot 64-bit key hash, over a key of n bytes in
 // [8,16] given as its two overlapping little-endian words: a is bytes
 // [0,8), b is bytes [n-8,n). The words are folded through one 64×64→128
@@ -213,18 +224,45 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
+// FNV-1a's 64-bit offset basis and prime.
+const (
+	fnvBasis = 0xcbf29ce484222325
+	fnvPrime = 0x100000001b3
+)
+
 // FNV1a64 is the 64-bit Fowler–Noll–Vo 1a hash.
 //
 //p2p:hotpath
 func FNV1a64(key []byte) uint64 {
-	const (
-		basis = 0xcbf29ce484222325
-		prime = 0x100000001b3
-	)
-	h := uint64(basis)
+	h := uint64(fnvBasis)
 	for _, b := range key {
 		h ^= uint64(b)
-		h *= prime
+		h *= fnvPrime
+	}
+	return h
+}
+
+// FNV1a64Words is FNV1a64 over a key of n bytes in [8,16] given as its
+// two overlapping little-endian words, as Sum64Words takes them: key
+// bytes 0–7 are a's, lowest first, and bytes 8 to n−1 are the top n−8
+// bytes of b (b>>24 upward for the 13-byte key, b>>40 for the 11-byte
+// hole-punch key). The bytes come out of the words by shifts, so the
+// pass reads no buffer.
+//
+//p2p:hotpath
+func FNV1a64Words(a, b, n uint64) uint64 {
+	h := uint64(fnvBasis)
+	h = (h ^ a&0xff) * fnvPrime
+	h = (h ^ a>>8&0xff) * fnvPrime
+	h = (h ^ a>>16&0xff) * fnvPrime
+	h = (h ^ a>>24&0xff) * fnvPrime
+	h = (h ^ a>>32&0xff) * fnvPrime
+	h = (h ^ a>>40&0xff) * fnvPrime
+	h = (h ^ a>>48&0xff) * fnvPrime
+	h = (h ^ a>>56) * fnvPrime
+	for t := b >> (128 - 8*n); n > 8; n-- {
+		h = (h ^ t&0xff) * fnvPrime
+		t >>= 8
 	}
 	return h
 }

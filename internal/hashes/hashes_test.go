@@ -1,10 +1,14 @@
 package hashes
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"p2pbound/internal/packet"
 )
 
 func TestNewFamilyValidation(t *testing.T) {
@@ -169,6 +173,54 @@ func TestFNV1a64KnownVector(t *testing.T) {
 	}
 	if got := FNV1a64([]byte("a")); got != 0xaf63dc4c8601ec8c {
 		t.Fatalf("FNV1a64(\"a\") = %#x, want 0xaf63dc4c8601ec8c", got)
+	}
+}
+
+// TestFNV1a64WordsMatchesBytes property: for every key length the word
+// form takes, FNV1a64Words over a key's two overlapping little-endian
+// words is FNV1a64 over its bytes, and SumWordsInto is SumInto.
+func TestFNV1a64WordsMatchesBytes(t *testing.T) {
+	fam, err := NewFamily(4, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := make([]uint32, 4), make([]uint32, 4)
+	f := func(buf [16]byte) bool {
+		for n := 8; n <= 16; n++ {
+			key := buf[:n]
+			a := binary.LittleEndian.Uint64(key[:8])
+			b := binary.LittleEndian.Uint64(key[n-8:])
+			if FNV1a64Words(a, b, uint64(n)) != FNV1a64(key) {
+				return false
+			}
+			fam.SumWordsInto(got, a, b, uint64(n))
+			fam.SumInto(want, key)
+			if !slices.Equal(got, want) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFNV1a64WordsMatchesKeys property: hashing a socket pair's key
+// words is hashing its key bytes, for the full key and the hole-punch
+// key — the identity that lets the classic layout skip the key buffer.
+func TestFNV1a64WordsMatchesKeys(t *testing.T) {
+	f := func(proto uint8, sa, da uint32, sp, dp uint16) bool {
+		p := packet.SocketPair{Proto: packet.Proto(proto), SrcAddr: packet.Addr(sa), SrcPort: sp, DstAddr: packet.Addr(da), DstPort: dp}
+		a, b := p.KeyWords()
+		if FNV1a64Words(a, b, packet.KeySize) != FNV1a64(p.AppendKey(nil)) {
+			return false
+		}
+		a, b = p.HolePunchKeyWords()
+		return FNV1a64Words(a, b, packet.HolePunchKeySize) == FNV1a64(p.AppendHolePunchKey(nil))
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

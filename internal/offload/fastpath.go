@@ -41,7 +41,7 @@ func (v Verdict) String() string {
 // else — it models the kernel-side stage of the two-tier split, which
 // has the map words and the geometry header but no access to the Go
 // filter, its meter, or its rng. A FastPath is owned by one probing
-// goroutine (its indexer carries key-encoding scratch); run one per
+// goroutine (it carries index scratch and probe counters); run one per
 // consumer. Any number of FastPaths may read the same Map concurrently
 // with its publisher.
 type FastPath struct {

@@ -152,10 +152,9 @@ func (s SocketPair) Key() [KeySize]byte {
 	return k
 }
 
-// PutKey writes the canonical full-tuple encoding of σ into dst. It is
-// the hot-path form of AppendKey: fixed stores into a caller-owned
-// array, no slice growth or bounds-check churn, so a filter can encode
-// one key per packet with zero allocations.
+// PutKey writes the canonical full-tuple encoding of σ into dst: the
+// bytes of AppendKey as fixed stores into a caller-owned array, with no
+// slice growth and no allocation.
 //
 //p2p:hotpath
 func (s SocketPair) PutKey(dst *[KeySize]byte) {
@@ -166,67 +165,38 @@ func (s SocketPair) PutKey(dst *[KeySize]byte) {
 	dst[11], dst[12] = byte(s.DstPort>>8), byte(s.DstPort)
 }
 
-// KeyEncoder encodes socket pairs into a reusable fixed buffer: the key
-// bytes the per-index hash family walks (the one-shot hash reads the
-// same bytes as KeyWords, without the buffer). The hole-punch encoding
-// is exactly the first HolePunchKeySize bytes of the full encoding (the
-// remote port is the trailing field), so one buffer serves both modes;
-// Outbound returns a slice of the encoder's own storage, valid until
-// the next call.
-type KeyEncoder struct {
-	buf       [KeySize]byte
-	holePunch bool
-}
-
-// NewKeyEncoder returns an encoder producing full-tuple keys, or
-// partial-tuple (remote-port-free) keys when holePunch is set.
-func NewKeyEncoder(holePunch bool) KeyEncoder {
-	return KeyEncoder{holePunch: holePunch}
-}
-
-// Outbound encodes the hash key of an outbound packet's socket pair:
-// the canonical PutKey bytes, truncated to the hole-punch prefix when
-// the encoder is in hole-punch mode.
+// KeyWords returns the full-tuple key as the two overlapping words both
+// layouts' hashes consume: a and b are the little-endian loads of bytes
+// [0,8) and [5,13) of the PutKey encoding, each one byte swap of the
+// big-endian word the fields make at that offset. core.Indexer hashes
+// these instead of encoding the key into a buffer and loading it back:
+// the byte stores of PutKey and the loads of the hash defeat
+// store-to-load forwarding, so the round trip costs more than the hash
+// itself. TestKeyWordsMatchBytes pins the equivalence.
 //
-//p2p:hotpath
-func (e *KeyEncoder) Outbound(pair SocketPair) []byte {
-	pair.PutKey(&e.buf)
-	if e.holePunch {
-		return e.buf[:HolePunchKeySize]
-	}
-	return e.buf[:KeySize]
-}
-
-// KeyWords returns the full-tuple key as the two overlapping words the
-// one-shot hash consumes: a and b are the little-endian loads of bytes
-// [0,8) and [5,13) of the PutKey encoding, computed directly from the
-// fields. core.Indexer hashes these instead of encoding the key
-// into a buffer and loading it back — the byte stores of PutKey and the
-// misaligned overlapping loads of the hash defeat store-to-load
-// forwarding, so the round trip costs more than the hash itself.
-// KeyWordsMatchBytes (keyencoder_test.go) pins the equivalence.
+// It is kept out of line for the same reason. A SocketPair has five
+// fields, so the compiler keeps a local one in memory, and an inlined
+// receiver is a whole-struct copy of it; after Inverse has just stored
+// the fields one by one, that copy's wide loads stall. A call takes
+// the fields in registers, loaded one by one.
 //
+//go:noinline
 //p2p:hotpath
 func (s SocketPair) KeyWords() (a, b uint64) {
-	sa := bits.ReverseBytes32(uint32(s.SrcAddr))
-	da := bits.ReverseBytes32(uint32(s.DstAddr))
-	sp := bits.ReverseBytes16(s.SrcPort)
-	a = uint64(byte(s.Proto)) | uint64(sa)<<8 | uint64(sp)<<40 | uint64(byte(s.DstAddr>>24))<<56
-	b = uint64(sp) | uint64(da)<<16 | uint64(bits.ReverseBytes16(s.DstPort))<<48
+	a = bits.ReverseBytes64(uint64(s.Proto)<<56 | uint64(s.SrcAddr)<<24 | uint64(s.SrcPort)<<8 | uint64(s.DstAddr)>>24)
+	b = bits.ReverseBytes64(uint64(s.SrcPort)<<48 | uint64(s.DstAddr)<<16 | uint64(s.DstPort))
 	return a, b
 }
 
 // HolePunchKeyWords is KeyWords for the partial-tuple hole-punch key:
 // the little-endian loads of bytes [0,8) and [3,11) of the
-// AppendHolePunchKey encoding.
+// AppendHolePunchKey encoding. It is out of line for KeyWords' reason.
 //
+//go:noinline
 //p2p:hotpath
 func (s SocketPair) HolePunchKeyWords() (a, b uint64) {
-	sa := bits.ReverseBytes32(uint32(s.SrcAddr))
-	da := bits.ReverseBytes32(uint32(s.DstAddr))
-	sp := bits.ReverseBytes16(s.SrcPort)
-	a = uint64(byte(s.Proto)) | uint64(sa)<<8 | uint64(sp)<<40 | uint64(byte(s.DstAddr>>24))<<56
-	b = uint64(sa)>>16 | uint64(sp)<<16 | uint64(da)<<32
+	a = bits.ReverseBytes64(uint64(s.Proto)<<56 | uint64(s.SrcAddr)<<24 | uint64(s.SrcPort)<<8 | uint64(s.DstAddr)>>24)
+	b = bits.ReverseBytes64(uint64(uint16(s.SrcAddr))<<48 | uint64(s.SrcPort)<<32 | uint64(s.DstAddr))
 	return a, b
 }
 

@@ -1,9 +1,32 @@
 package packet
 
 import (
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
+
+// TestKeyWordsMatchBytes property: KeyWords/HolePunchKeyWords must equal
+// the little-endian loads of bytes [0,8) and [len-8,len) of the
+// canonical key encodings — the identity that lets the index hashes
+// consume socket-pair fields directly and still hash exactly the key
+// bytes.
+func TestKeyWordsMatchBytes(t *testing.T) {
+	f := func(proto uint8, sa, da uint32, sp, dp uint16) bool {
+		s := SocketPair{Proto: Proto(proto), SrcAddr: Addr(sa), SrcPort: sp, DstAddr: Addr(da), DstPort: dp}
+		full := s.AppendKey(nil)
+		a, b := s.KeyWords()
+		if a != binary.LittleEndian.Uint64(full[:8]) || b != binary.LittleEndian.Uint64(full[len(full)-8:]) {
+			return false
+		}
+		hpk := s.AppendHolePunchKey(nil)
+		a, b = s.HolePunchKeyWords()
+		return a == binary.LittleEndian.Uint64(hpk[:8]) && b == binary.LittleEndian.Uint64(hpk[len(hpk)-8:])
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestProtoString(t *testing.T) {
 	tests := []struct {

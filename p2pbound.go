@@ -698,11 +698,13 @@ func (l *Limiter) UplinkMbps() float64 {
 }
 
 // DropProbability returns the P_d currently applied to unmatched inbound
-// packets. Like UplinkMbps, a processing-goroutine call.
+// packets: the one the next packet's decision would use, so 1 in
+// fail-closed mode and the ramp nested under the aggregate budget when
+// the limiter has one. Like UplinkMbps, a processing-goroutine call.
 //
 //p2p:confined limproc entry
 func (l *Limiter) DropProbability() float64 {
-	return l.prober.Pd(l.meter.Rate(l.now))
+	return l.pd(l.now)
 }
 
 // MemoryBytes returns the fixed size of the bitmap in bytes.

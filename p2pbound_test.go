@@ -110,6 +110,21 @@ func TestNoDropsBelowLowThreshold(t *testing.T) {
 	}
 }
 
+// TestDropProbabilityFailClosed: in fail-closed mode every unmatched
+// inbound packet is decided with P_d 1, so DropProbability reports 1
+// even on an idle uplink, and the ramp's 0 again once it is lifted.
+func TestDropProbabilityFailClosed(t *testing.T) {
+	l := newLimiter(t, Config{})
+	l.SetFailClosed(true)
+	if got := l.DropProbability(); got != 1 {
+		t.Fatalf("fail-closed P_d = %g, want 1", got)
+	}
+	l.SetFailClosed(false)
+	if got := l.DropProbability(); got != 0 {
+		t.Fatalf("P_d = %g after fail-closed is lifted, want 0", got)
+	}
+}
+
 func TestUplinkMeterTracksPassedTraffic(t *testing.T) {
 	l := newLimiter(t, Config{})
 	for s := 0; s < 5; s++ {

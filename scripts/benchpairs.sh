@@ -9,12 +9,14 @@
 # the base checkout first and even pairs the new one, so a slow stretch
 # of the host does not always fall on one side. `--compare` refuses a
 # file holding any run flagged host_drift, so a pair is kept only when
-# neither of its runs is; the kept runs are appended to base.jsonl and
-# new.jsonl in $OUT (default .bench_pairs/WORKLOAD-sSEED in the current
-# directory), and every run's output stays in $OUT/runs. The script
-# prints each pair's order and fate and the counts of pairs run and
-# kept, then the --compare table of the two files. It fails when no
-# pair was kept, since there is nothing to compare.
+# neither of its runs is. PAIRS is the number of drift-free pairs to
+# keep: the script runs pairs until it has kept that many or has run
+# 3×PAIRS. The kept runs are appended to base.jsonl and new.jsonl in
+# $OUT (default .bench_pairs/WORKLOAD-sSEED in the current directory),
+# and every run's output stays in $OUT/runs. The script prints each
+# pair's order and fate and the counts of pairs run and kept, then the
+# --compare table of the two files. It fails when no pair was kept,
+# since there is nothing to compare.
 set -euo pipefail
 
 if [ $# -lt 5 ]; then
@@ -35,8 +37,9 @@ out=${OUT:-$PWD/.bench_pairs/$workload-s$seed}
 mkdir -p "$out/runs"
 out=$(cd "$out" && pwd)
 
-kept=0
-for ((i = 1; i <= pairs; i++)); do
+kept=0 i=0
+while ((kept < pairs && i < 3 * pairs)); do
+	i=$((i + 1))
 	order="base new"
 	if ((i % 2 == 0)); then
 		order="new base"
@@ -59,7 +62,7 @@ for ((i = 1; i <= pairs; i++)); do
 	kept=$((kept + 1))
 	echo "pair $i ($order): kept"
 done
-echo "$workload seed $seed: $pairs pairs run, $kept kept; all kept runs in $out"
+echo "$workload seed $seed: $i pairs run, $kept of $pairs kept; all kept runs in $out"
 if [ "$kept" -eq 0 ]; then
 	echo "no drift-free pair to compare" >&2
 	exit 1

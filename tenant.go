@@ -279,28 +279,24 @@ func NewTenantManager(cfg TenantManagerConfig) (*TenantManager, error) {
 	if err != nil {
 		return nil, err
 	}
-	kern, err := newTKernel(coreCfg)
+	ix, err := core.NewIndexer(coreCfg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("p2pbound: %w", err)
 	}
 	m := &TenantManager{
 		cfg:     cfg,
 		tmpl:    tmpl,
 		coreCfg: coreCfg,
-		kern:    kern,
+		kern:    newTKernel(ix, coreCfg.M),
 		netMask: packet.Addr(^uint32(0) << (32 - cfg.PrefixBits)),
 		shards:  make([]*tshard, cfg.Shards),
 		byID:    make(map[string]*tenant),
 	}
 	for i := range m.shards {
-		kern, err := newTKernel(coreCfg)
-		if err != nil {
-			return nil, err
-		}
 		sh := &tshard{
 			idx:   i,
 			arena: bitvec.NewArena(1<<coreCfg.NBits, tenantVectorsPerSlab),
-			kern:  kern,
+			kern:  newTKernel(ix, coreCfg.M),
 			spill: spillPool{
 				words:   coreCfg.K * max(1, (1<<coreCfg.NBits)/64),
 				perSlab: max(1, tenantVectorsPerSlab/coreCfg.K),
@@ -447,8 +443,8 @@ func (m *TenantManager) ProcessBatch(pkts []Packet, dst []Decision) []Decision {
 // of at most core.BatchChunk packets: each packet's tenant (nil when it
 // has none), its internal form, and its m indexes, plus the records
 // Process and ProcessBatch convert public packets into. Every tenant
-// shares the manager's geometry, so one Indexer derives the indexes
-// for all of them.
+// shares the manager's geometry, so the manager's one Indexer derives
+// the indexes for all of them, in every kernel.
 type tkernel struct {
 	ix   *core.Indexer
 	m    int
@@ -460,12 +456,8 @@ type tkernel struct {
 	sink uint64
 }
 
-func newTKernel(cfg core.Config) (*tkernel, error) {
-	ix, err := core.NewIndexer(cfg)
-	if err != nil {
-		return nil, fmt.Errorf("p2pbound: %w", err)
-	}
-	return &tkernel{ix: ix, m: cfg.M, sums: make([]uint32, core.BatchChunk*cfg.M)}, nil
+func newTKernel(ix *core.Indexer, m int) *tkernel {
+	return &tkernel{ix: ix, m: m, sums: make([]uint32, core.BatchChunk*m)}
 }
 
 // processBatch is ProcessBatch on kernel k, scoped to one shard when
