@@ -9,7 +9,6 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -49,7 +48,7 @@ func run(args []string) error {
 		return err
 	}
 	defer f.Close()
-	packets, err := pcap.ReadAll(bufio.NewReaderSize(f, 1<<20), clientNet, *verify)
+	packets, err := pcap.ReadAll(f, clientNet, *verify)
 	if err != nil {
 		return err
 	}

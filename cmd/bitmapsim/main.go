@@ -16,7 +16,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -32,7 +31,6 @@ import (
 	"p2pbound/internal/naive"
 	"p2pbound/internal/netsim"
 	"p2pbound/internal/packet"
-	"p2pbound/internal/pcap"
 	"p2pbound/internal/red"
 	"p2pbound/internal/spi"
 	"p2pbound/internal/stats"
@@ -146,34 +144,14 @@ func run(args []string) error {
 	// Open the input only after the metrics server is listening: with a
 	// streaming source (a FIFO fed by tcpdump), the replay phase is the
 	// long part, and the endpoints should be reachable throughout it.
-	// Regular files replay through the zero-copy mmap walker; pipes and
-	// FIFOs stream through the buffered reader. Either way the trace is
-	// never materialized in memory — only one ingest batch is live.
-	var (
-		src       ingest.Ingest
-		malformed func() int64
-	)
-	if fi, statErr := os.Stat(*in); statErr == nil && fi.Mode().IsRegular() {
-		ms, err := ingest.OpenMMap(*in, clientNet, true)
-		if err != nil {
-			return err
-		}
-		defer ms.Close()
-		src, malformed = ms, ms.Malformed
-	} else {
-		f, err := os.Open(*in)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		reader, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20), clientNet)
-		if err != nil {
-			return err
-		}
-		reader.VerifyChecksums = true
-		rs := ingest.NewReaderSource(reader)
-		src, malformed = rs, rs.Malformed
+	// A regular file is mapped and walked in place; pipes and FIFOs are
+	// read through a refilled window. Either way the trace is never
+	// materialized in memory — only one ingest batch is live.
+	src, err := ingest.Open(*in, clientNet, true)
+	if err != nil {
+		return err
 	}
+	defer src.Close()
 
 	start := time.Now()
 	res, err := netsim.ReplayIngest(src, filter, cfg)
@@ -193,7 +171,7 @@ func run(args []string) error {
 	fmt.Printf("  download original %s -> filtered %s\n",
 		stats.Mbps(res.OriginalDown.MeanRate()), stats.Mbps(res.FilteredDown.MeanRate()))
 	fmt.Printf("  filter state at end: %d bytes\n", memory())
-	if n := malformed(); n > 0 {
+	if n := src.Malformed(); n > 0 {
 		fmt.Printf("  skipped %d malformed or corrupt frames\n", n)
 	}
 	if *series {

@@ -82,7 +82,7 @@ func TestRunServesMetricsMidReplay(t *testing.T) {
 
 	// Opening the write side unblocks the daemon's open of the read side.
 	// All but the last packet go in up front; the FIFO then stays open, so
-	// the daemon blocks in ReadPacket with its HTTP server live.
+	// the daemon blocks in ReadBatch with its HTTP server live.
 	w, err := os.OpenFile(fifo, os.O_WRONLY, 0)
 	if err != nil {
 		t.Fatal(err)

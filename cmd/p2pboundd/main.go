@@ -46,7 +46,6 @@ import (
 	"p2pbound"
 	"p2pbound/internal/ingest"
 	"p2pbound/internal/packet"
-	"p2pbound/internal/pcap"
 )
 
 func main() {
@@ -295,43 +294,20 @@ func runSig(args []string, out io.Writer, sigc <-chan os.Signal) error {
 		}
 	}
 
-	// Regular files ingest through the zero-copy mmap walker; stdin and
-	// FIFOs (a live tcpdump pipe) stream through the buffered reader.
-	// Both deliver decoded batches, so the daemon never holds more than
-	// one batch of packets regardless of capture size.
-	var (
-		src       ingest.Ingest
-		clockRegs func() int64
-	)
-	if *in != "-" {
-		if fi, statErr := os.Stat(*in); statErr == nil && fi.Mode().IsRegular() {
-			ms, err := ingest.OpenMMap(*in, clientNet, false)
-			if err != nil {
-				return err
-			}
-			defer ms.Close()
-			src, clockRegs = ms, ms.ClockRegressions
-		} else {
-			f, err := os.Open(*in)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			reader, err := pcap.NewReader(bufio.NewReaderSize(f, 1<<20), clientNet)
-			if err != nil {
-				return err
-			}
-			rs := ingest.NewReaderSource(reader)
-			src, clockRegs = rs, rs.ClockRegressions
-		}
+	// A regular file is mapped and walked in place; stdin and FIFOs (a
+	// live tcpdump pipe) are read through a refilled window. Both deliver
+	// decoded batches, so the daemon never holds more than one batch of
+	// packets regardless of capture size.
+	var src *ingest.Source
+	if *in == "-" {
+		src, err = ingest.NewStreamSource(os.Stdin, clientNet, false)
 	} else {
-		reader, err := pcap.NewReader(bufio.NewReaderSize(os.Stdin, 1<<20), clientNet)
-		if err != nil {
-			return err
-		}
-		rs := ingest.NewReaderSource(reader)
-		src, clockRegs = rs, rs.ClockRegressions
+		src, err = ingest.Open(*in, clientNet, false)
 	}
+	if err != nil {
+		return err
+	}
+	defer src.Close()
 
 	// Each ingest batch is decided through Limiter.ProcessBatch — the
 	// amortized hot path — reusing the same translation and verdict
@@ -460,7 +436,7 @@ func runSig(args []string, out io.Writer, sigc <-chan os.Signal) error {
 	finish := func(reason string) {
 		s := stats()
 		fmt.Fprintf(out, "%s: %d packets, %d dropped, %d matched, %d anomalies, %d clock regressions\n",
-			reason, total, dropped, s.InboundMatched, s.TimeAnomalies, clockRegs())
+			reason, total, dropped, s.InboundMatched, s.TimeAnomalies, src.ClockRegressions())
 	}
 	saveFinal := func() error {
 		if publishOffload != nil {

@@ -115,22 +115,9 @@ func (e *executor) Submit(pkt Packet) {
 	if e.closed.Load() {
 		panic("p2pbound: Submit on closed pipeline")
 	}
-	var rec record
-	rec.fromPublic(&pkt)
-	sh := e.be.route(rec)
-	r := e.rings[sh]
-	if e.policy == ShedBlock {
-		r.mu.Lock()
-		r.push(rec)
-		r.mu.Unlock()
-		return
-	}
-	r.mu.Lock()
-	ok := r.tryPush(rec)
-	r.mu.Unlock()
-	if !ok {
-		e.shed(sh, 1)
-	}
+	var one [1]record
+	one[0].fromPublic(&pkt)
+	e.enqueue(e.be.route(one[0]), one[:])
 }
 
 // TrySubmit attempts a non-blocking enqueue, regardless of the shed
@@ -142,13 +129,13 @@ func (e *executor) TrySubmit(pkt Packet) bool {
 	if e.closed.Load() {
 		panic("p2pbound: TrySubmit on closed pipeline")
 	}
-	var rec record
-	rec.fromPublic(&pkt)
-	r := e.rings[e.be.route(rec)]
+	var one [1]record
+	one[0].fromPublic(&pkt)
+	r := e.rings[e.be.route(one[0])]
 	r.mu.Lock()
-	ok := r.tryPush(rec)
+	accepted := r.tryPushAll(one[:])
 	r.mu.Unlock()
-	return ok
+	return accepted == 1
 }
 
 // shed records n packets bound for shard sh turned away by the overload
@@ -224,20 +211,26 @@ func (e *executor) dispatch(sc *routeScratch, chunk []record) {
 		sc.byShard[sh] = append(sc.byShard[sh], chunk[i])
 	}
 	for sh, group := range sc.byShard {
-		if len(group) == 0 {
-			continue
+		if len(group) > 0 {
+			e.enqueue(sh, group)
 		}
-		r := e.rings[sh]
-		r.mu.Lock()
-		if e.policy == ShedBlock {
-			r.pushAll(group)
-			r.mu.Unlock()
-			continue
-		}
-		accepted := r.tryPushAll(group)
-		r.mu.Unlock()
-		e.shed(sh, len(group)-accepted)
 	}
+}
+
+// enqueue publishes group to shard sh's ring with one lock acquisition.
+// Under ShedBlock it waits for space; under a non-blocking policy what
+// does not fit is shed and counted.
+func (e *executor) enqueue(sh int, group []record) {
+	r := e.rings[sh]
+	r.mu.Lock()
+	if e.policy == ShedBlock {
+		r.pushAll(group)
+		r.mu.Unlock()
+		return
+	}
+	accepted := r.tryPushAll(group)
+	r.mu.Unlock()
+	e.shed(sh, len(group)-accepted)
 }
 
 // routeScratch is the reusable per-SubmitBatch staging area, pooled so
@@ -429,29 +422,6 @@ func (r *ring) wakeParked() {
 func (r *ring) publish(t uint64) {
 	r.tail.Store(t)
 	r.wakeParked()
-}
-
-// push appends one packet, waiting while the ring is full. Callers hold
-// r.mu.
-func (r *ring) push(p record) {
-	t := r.tail.Load()
-	for spin := 0; t-r.head.Load() >= uint64(len(r.buf)); spin++ {
-		idleWait(spin)
-	}
-	r.buf[t&r.mask] = p
-	r.publish(t + 1)
-}
-
-// tryPush appends one packet if the ring has a free slot, reporting
-// whether it did. Callers hold r.mu.
-func (r *ring) tryPush(p record) bool {
-	t := r.tail.Load()
-	if t-r.head.Load() >= uint64(len(r.buf)) {
-		return false
-	}
-	r.buf[t&r.mask] = p
-	r.publish(t + 1)
-	return true
 }
 
 // tryPushAll appends as much of the group as fits without waiting and

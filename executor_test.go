@@ -270,8 +270,9 @@ func TestRecordLayout(t *testing.T) {
 
 // TestExecutorSubmitBatchAllocationFree guards the executor's steady
 // state on both front ends: once the pooled staging area and the
-// workers' batches exist, SubmitBatch plus Drain allocate nothing,
-// workers included.
+// workers' batches exist, SubmitBatch, Submit or TrySubmit plus Drain
+// allocate nothing, workers included. Submit and TrySubmit push a
+// one-record array through the group forms; it stays on the stack.
 func TestExecutorSubmitBatchAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items under the race detector; alloc counts are not meaningful")
@@ -281,11 +282,28 @@ func TestExecutorSubmitBatchAllocationFree(t *testing.T) {
 		t.Run(fe.name, func(t *testing.T) {
 			pipe := fe.start(t, Config{ClientNetwork: testNet, Seed: 1}, PipelineConfig{Shards: 2})
 			defer pipe.Close()
-			if avg := testing.AllocsPerRun(20, func() {
-				pipe.SubmitBatch(pkts)
-				pipe.Drain()
-			}); avg != 0 {
-				t.Fatalf("SubmitBatch+Drain allocates %.2f allocs/op, want 0", avg)
+			for _, c := range []struct {
+				name   string
+				submit func()
+			}{
+				{"SubmitBatch", func() { pipe.SubmitBatch(pkts) }},
+				{"Submit", func() {
+					for i := range pkts {
+						pipe.Submit(pkts[i])
+					}
+				}},
+				{"TrySubmit", func() {
+					for i := range pkts {
+						pipe.TrySubmit(pkts[i])
+					}
+				}},
+			} {
+				if avg := testing.AllocsPerRun(20, func() {
+					c.submit()
+					pipe.Drain()
+				}); avg != 0 {
+					t.Fatalf("%s+Drain allocates %.2f allocs/op, want 0", c.name, avg)
+				}
 			}
 		})
 	}

@@ -7,12 +7,13 @@
 //	                          materializes the whole trace (one payload
 //	                          allocation per packet), then netsim.Replay
 //	                          walks the slice.
-//	source=mmap+batch       — ingest.MMapSource decodes frames in place
-//	                          out of the mapped file and hands batches
-//	                          to netsim.ReplayIngest; zero per-packet
+//	source=mmap+batch       — the record walker decodes frames in place
+//	                          out of the capture's bytes (a mapped file
+//	                          in production) and hands batches to
+//	                          netsim.ReplayIngest; zero per-packet
 //	                          allocations, constant memory.
-//	source=stream+batch     — ingest.ReaderSource over pcap.Reader:
-//	                          the io.Reader path (stdin, FIFOs) with
+//	source=stream+batch     — the same walker over a window refilled
+//	                          from an io.Reader (stdin, FIFOs), with
 //	                          batch delivery and reused packet storage.
 package p2pbound
 
@@ -131,11 +132,11 @@ func BenchmarkIngestEndToEnd(b *testing.B) {
 		var res *netsim.Result
 		start := time.Now()
 		for i := 0; i < b.N; i++ {
-			r, err := pcap.NewReader(bytes.NewReader(data), ingestBenchNet)
+			src, err := ingest.NewStreamSource(bytes.NewReader(data), ingestBenchNet, false)
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err = netsim.ReplayIngest(ingest.NewReaderSource(r), ingestBenchFilter(b), netsim.Config{})
+			res, err = netsim.ReplayIngest(src, ingestBenchFilter(b), netsim.Config{})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -33,7 +33,7 @@ func (f *Filter) Reset(seed uint64) {
 	for _, v := range f.vectors {
 		v.Clear()
 	}
-	f.started, f.idx, f.sweepVec, f.next, f.lastTS, f.hashed = false, 0, -1, 0, 0, 0
+	f.started, f.idx, f.sweepVec, f.next, f.lastTS = false, 0, -1, 0, 0
 	f.pend.outbound, f.pend.inbound, f.pend.hits, f.pend.misses, f.pend.dropped = 0, 0, 0, 0, 0
 	f.stats.outbound.Store(0)
 	f.stats.inbound.Store(0)

@@ -197,8 +197,6 @@ type Filter struct {
 	// last-level cache, the touches cannot hide any DRAM latency and are
 	// pure extra loads, so small filters hash ahead without touching.
 	touch bool
-	// hashed is the number of packets pass A stored in bsums.
-	hashed int
 	// sweepVec is the index of the vector whose deferred clear is being
 	// swept across packet calls, or −1 when no sweep is pending. Each
 	// Process call advances the sweep by one block, bounding the
@@ -681,7 +679,6 @@ func (f *Filter) HashBatch(pkts []packet.Packet) int {
 			f.TouchLines(f.bsums[i*m:i*m+m], pkts[i].Dir == packet.Outbound)
 		}
 	}
-	f.hashed = n
 	return n
 }
 

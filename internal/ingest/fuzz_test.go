@@ -3,11 +3,13 @@ package ingest_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"p2pbound/internal/ingest"
@@ -99,55 +101,70 @@ func swapPcap(data []byte) []byte {
 	return out
 }
 
-// FuzzMMapWalk is the differential fuzz target: on arbitrary bytes the
-// zero-copy walker must (a) never panic or read out of bounds and (b)
-// produce exactly the packet stream of the streaming pcap.Reader — same
-// packets, same skip decisions, same terminal condition.
+// FuzzMMapWalk is the differential fuzz target over the record
+// walker's feeds: on arbitrary bytes, the capture walked in place, the
+// capture streamed through a window and the capture streamed one byte
+// per Read must accept the same headers, decode the same packets, skip
+// the same frames, count the same clock regressions and reach the same
+// terminal condition — and none may panic or read out of bounds.
 func FuzzMMapWalk(f *testing.F) {
 	for _, seed := range fuzzSeeds(f) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, verify := range []bool{false, true} {
-			ms, msErr := ingest.NewMemSource(data, testNet, verify)
-			r, rErr := pcap.NewReader(bytes.NewReader(data), testNet)
-			if (msErr == nil) != (rErr == nil) {
-				t.Fatalf("header acceptance diverged: mmap %v, reader %v", msErr, rErr)
-			}
-			if msErr != nil {
-				return
-			}
-			r.VerifyChecksums = verify
-
-			rs := ingest.NewReaderSource(r)
-			want, wantErr := drainAll(rs)
-			got, gotErr := drainAll(ms)
-
-			if len(got) != len(want) {
-				t.Fatalf("verify=%v: mmap decoded %d packets, reader %d", verify, len(got), len(want))
-			}
-			for i := range want {
-				if !pktEqual(&got[i], &want[i]) {
-					t.Fatalf("verify=%v: packet %d diverged:\nmmap   %+v\nreader %+v", verify, i, got[i], want[i])
+			want := walkOutcome("input", data, verify, feeds[0].open)
+			for _, feed := range feeds[1:] {
+				if got := walkOutcome("input", data, verify, feed.open); got != want {
+					t.Fatalf("%s feed diverged from the mapping:\n got %s\nwant %s", feed.name, got, want)
 				}
-			}
-			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("verify=%v: terminal condition diverged: mmap %v, reader %v", verify, gotErr, wantErr)
-			}
-			if ms.Malformed() != rs.Malformed() {
-				t.Fatalf("verify=%v: malformed counts diverged: mmap %d, reader %d", verify, ms.Malformed(), rs.Malformed())
-			}
-			if ms.ClockRegressions() != rs.ClockRegressions() {
-				t.Fatalf("verify=%v: clock regressions diverged: mmap %d, reader %d",
-					verify, ms.ClockRegressions(), rs.ClockRegressions())
 			}
 		}
 	})
 }
 
+// feeds are the ways a capture reaches the record walker: the whole
+// capture in memory, as a mapped file is, and a stream read through a
+// window, in large reads and one byte per Read.
+var feeds = []struct {
+	name string
+	open func(data []byte, verify bool) (*ingest.Source, error)
+}{
+	{"mapping", func(data []byte, verify bool) (*ingest.Source, error) {
+		return ingest.NewMemSource(data, testNet, verify)
+	}},
+	{"stream", func(data []byte, verify bool) (*ingest.Source, error) {
+		return ingest.NewStreamSource(bytes.NewReader(data), testNet, verify)
+	}},
+	{"one-byte", func(data []byte, verify bool) (*ingest.Source, error) {
+		return ingest.NewStreamSource(iotest.OneByteReader(bytes.NewReader(data)), testNet, verify)
+	}},
+}
+
+// walkOutcome reads data to its end through open and formats what the
+// walk golden records: header acceptance, the packet count and digest,
+// the malformed and clock-regression counts and the terminal condition.
+func walkOutcome(name string, data []byte, verify bool, open func([]byte, bool) (*ingest.Source, error)) string {
+	src, err := open(data, verify)
+	if err != nil {
+		return fmt.Sprintf("%s verify=%t header=rejected", name, verify)
+	}
+	pkts, err := drainAll(src)
+	end := "eof"
+	switch {
+	case errors.Is(err, ingest.ErrTruncatedFile):
+		end = "truncated"
+	case errors.Is(err, ingest.ErrBadRecordLength):
+		end = "bad-record-length"
+	case err != nil:
+		end = err.Error()
+	}
+	return goldenLine(name, verify, pkts, src.Malformed(), src.ClockRegressions(), end)
+}
+
 // drainAll reads src to exhaustion, cloning packets, and returns the
 // terminal error (nil for a clean io.EOF end).
-func drainAll(src ingest.Ingest) ([]packet.Packet, error) {
+func drainAll(src *ingest.Source) ([]packet.Packet, error) {
 	b := ingest.NewBatch(64)
 	var out []packet.Packet
 	for {

@@ -33,7 +33,7 @@ func tracePcap(t testing.TB, duration time.Duration, scale float64, seed uint64)
 }
 
 // drain reads src to exhaustion, cloning every packet and payload.
-func drain(t testing.TB, src ingest.Ingest) []packet.Packet {
+func drain(t testing.TB, src *ingest.Source) []packet.Packet {
 	t.Helper()
 	b := ingest.NewBatch(0)
 	var out []packet.Packet
@@ -61,18 +61,17 @@ func pktEqual(a, b *packet.Packet) bool {
 		a.Len == b.Len && a.Flags == b.Flags && bytes.Equal(a.Payload, b.Payload)
 }
 
-// TestMMapMatchesReader pins the zero-copy walker to the streaming
-// reader: same packets, same order, same timestamps, byte-identical
-// payloads — and therefore identical filter verdicts.
+// TestMMapMatchesReader pins the mapping feed of the record walker to
+// its stream feed: same packets, same order, same timestamps,
+// byte-identical payloads — and therefore identical filter verdicts.
 func TestMMapMatchesReader(t *testing.T) {
 	data, _ := tracePcap(t, 10*time.Second, 0.05, 7)
 
-	r, err := pcap.NewReader(bytes.NewReader(data), testNet)
+	rs, err := ingest.NewStreamSource(bytes.NewReader(data), testNet, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.VerifyChecksums = true
-	want := drain(t, ingest.NewReaderSource(r))
+	want := drain(t, rs)
 
 	ms, err := ingest.NewMemSource(data, testNet, true)
 	if err != nil {
@@ -81,15 +80,15 @@ func TestMMapMatchesReader(t *testing.T) {
 	got := drain(t, ms)
 
 	if len(got) != len(want) {
-		t.Fatalf("mmap walker decoded %d packets, reader %d", len(got), len(want))
+		t.Fatalf("mapping decoded %d packets, stream %d", len(got), len(want))
 	}
 	for i := range want {
 		if !pktEqual(&got[i], &want[i]) {
-			t.Fatalf("packet %d diverged:\nmmap   %+v\nreader %+v", i, got[i], want[i])
+			t.Fatalf("packet %d diverged:\nmapping %+v\nstream  %+v", i, got[i], want[i])
 		}
 	}
-	if ms.Malformed() != 0 {
-		t.Fatalf("clean trace counted %d malformed frames", ms.Malformed())
+	if ms.Malformed() != 0 || rs.Malformed() != 0 {
+		t.Fatalf("clean trace counted %d/%d malformed frames", ms.Malformed(), rs.Malformed())
 	}
 }
 
@@ -115,18 +114,17 @@ func verdictsOf(t *testing.T, pkts []packet.Packet) []core.Verdict {
 	return out
 }
 
-// TestMMapVerdictParity replays the same trace through both sources and
-// two identically-seeded filters: the verdict streams must be
-// identical.
+// TestMMapVerdictParity replays the same trace through the mapping and
+// stream feeds and two identically-seeded filters: the verdict streams
+// must be identical.
 func TestMMapVerdictParity(t *testing.T) {
 	data, _ := tracePcap(t, 8*time.Second, 0.05, 11)
 
-	r, err := pcap.NewReader(bytes.NewReader(data), testNet)
+	rs, err := ingest.NewStreamSource(bytes.NewReader(data), testNet, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.VerifyChecksums = true
-	fromReader := verdictsOf(t, drain(t, ingest.NewReaderSource(r)))
+	fromStream := verdictsOf(t, drain(t, rs))
 
 	ms, err := ingest.NewMemSource(data, testNet, true)
 	if err != nil {
@@ -134,12 +132,12 @@ func TestMMapVerdictParity(t *testing.T) {
 	}
 	fromMMap := verdictsOf(t, drain(t, ms))
 
-	if len(fromReader) != len(fromMMap) {
-		t.Fatalf("verdict counts differ: reader %d, mmap %d", len(fromReader), len(fromMMap))
+	if len(fromStream) != len(fromMMap) {
+		t.Fatalf("verdict counts differ: stream %d, mapping %d", len(fromStream), len(fromMMap))
 	}
-	for i := range fromReader {
-		if fromReader[i] != fromMMap[i] {
-			t.Fatalf("verdict %d diverged: reader %v, mmap %v", i, fromReader[i], fromMMap[i])
+	for i := range fromStream {
+		if fromStream[i] != fromMMap[i] {
+			t.Fatalf("verdict %d diverged: stream %v, mapping %v", i, fromStream[i], fromMMap[i])
 		}
 	}
 }
@@ -232,8 +230,7 @@ func TestMMapGarbageHeaders(t *testing.T) {
 
 	t.Run("corrupt-checksum", func(t *testing.T) {
 		// Flip a payload byte of the first frame: under verification
-		// both the walker and the reader skip it, and both counters
-		// agree.
+		// both feeds skip it, and both counters agree.
 		bad := append([]byte(nil), data...)
 		inclLen := int(uint32(bad[24+8]) | uint32(bad[24+9])<<8 | uint32(bad[24+10])<<16 | uint32(bad[24+11])<<24)
 		bad[24+16+inclLen-1] ^= 0xff
@@ -243,19 +240,17 @@ func TestMMapGarbageHeaders(t *testing.T) {
 		}
 		got := drain(t, ms)
 
-		r, err := pcap.NewReader(bytes.NewReader(bad), testNet)
+		rs, err := ingest.NewStreamSource(bytes.NewReader(bad), testNet, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.VerifyChecksums = true
-		rs := ingest.NewReaderSource(r)
 		want := drain(t, rs)
 
 		if len(got) != len(want) {
-			t.Fatalf("mmap decoded %d, reader %d", len(got), len(want))
+			t.Fatalf("mapping decoded %d, stream %d", len(got), len(want))
 		}
 		if ms.Malformed() != rs.Malformed() {
-			t.Fatalf("malformed counts differ: mmap %d, reader %d", ms.Malformed(), rs.Malformed())
+			t.Fatalf("malformed counts differ: mapping %d, stream %d", ms.Malformed(), rs.Malformed())
 		}
 		if ms.Malformed() != 1 {
 			t.Fatalf("Malformed() = %d, want 1", ms.Malformed())
@@ -300,11 +295,10 @@ func TestMMapReadBatchAllocFree(t *testing.T) {
 	}
 }
 
-// TestReaderSourceAllocFreeSteadyState pins the ReadPacketInto
-// satellite: once every batch slot's payload capacity has grown to the
-// trace's largest packet, streaming ingestion allocates nothing.
+// TestReaderSourceAllocFreeSteadyState pins the stream feed at zero
+// allocations per batch once reading is under way: payloads alias the
+// window, and the window is refilled in place.
 func TestReaderSourceAllocFreeSteadyState(t *testing.T) {
-	// Uniform payload sizes so slot capacities converge after one pass.
 	pkts := make([]packet.Packet, 4096)
 	payload := bytes.Repeat([]byte{0xab}, 64)
 	for i := range pkts {
@@ -329,13 +323,12 @@ func TestReaderSourceAllocFreeSteadyState(t *testing.T) {
 	if err := pcap.WriteAll(&buf, pkts, 0, time.Unix(1_163_580_000, 0)); err != nil {
 		t.Fatal(err)
 	}
-	r, err := pcap.NewReader(bytes.NewReader(buf.Bytes()), testNet)
+	rs, err := ingest.NewStreamSource(bytes.NewReader(buf.Bytes()), testNet, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := ingest.NewReaderSource(r)
 	b := ingest.NewBatch(256)
-	for i := 0; i < 2; i++ { // warm the slot payload capacities
+	for i := 0; i < 2; i++ {
 		if n, err := rs.ReadBatch(b); n == 0 || err != nil {
 			t.Fatalf("warm-up read %d: n=%d err=%v", i, n, err)
 		}
@@ -350,8 +343,8 @@ func TestReaderSourceAllocFreeSteadyState(t *testing.T) {
 	}
 }
 
-// TestOpenMMapFile exercises the real file path (mmap on linux, read
-// fallback elsewhere) end to end.
+// TestOpenMMapFile exercises the real file path (mmap on linux, the
+// stream feed elsewhere) end to end.
 func TestOpenMMapFile(t *testing.T) {
 	data, pkts := tracePcap(t, 3*time.Second, 0.05, 29)
 	path := t.TempDir() + "/trace.pcap"
@@ -372,6 +365,9 @@ func TestOpenMMapFile(t *testing.T) {
 	// Close is idempotent and the source stays terminal.
 	if err := ms.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if n, err := ms.ReadBatch(ingest.NewBatch(8)); n != 0 || !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("ReadBatch after Close = %d, %v; want 0, os.ErrClosed", n, err)
 	}
 	if _, err := ingest.OpenMMap(path+".missing", testNet, true); err == nil {
 		t.Fatal("missing file accepted")

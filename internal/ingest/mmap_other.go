@@ -3,21 +3,12 @@
 package ingest
 
 import (
-	"io"
+	"errors"
 	"os"
 )
 
-// mapFile reads the whole file into memory on platforms without the
-// mmap fast path. The walker behaves identically either way — it only
-// sees a []byte — so this fallback trades the page cache sharing of a
-// real mapping for portability, nothing else.
-func mapFile(f *os.File, size int64) ([]byte, func() error, error) {
-	if size < 0 || size != int64(int(size)) {
-		return nil, nil, os.ErrInvalid
-	}
-	data := make([]byte, int(size))
-	if _, err := io.ReadFull(io.NewSectionReader(f, 0, size), data); err != nil {
-		return nil, nil, err
-	}
-	return data, func() error { return nil }, nil
+// mapFile maps nothing where there is no mmap(2) fast path: Open streams
+// the file through a window instead, as it streams a FIFO.
+func mapFile(*os.File, int64) ([]byte, func() error, error) {
+	return nil, nil, errors.ErrUnsupported
 }

@@ -207,9 +207,8 @@ func Replay(packets []packet.Packet, f Filter, cfg Config) (*Result, error) {
 // ReplayIngest streams batches out of src through the filter — the
 // constant-memory path: only one batch of packets is live at a time, so
 // replaying a multi-gigabyte trace costs a batch plus the source's own
-// buffers. Packets must arrive in timestamp order, as every Ingest
-// source over a capture file guarantees.
-func ReplayIngest(src ingest.Ingest, f Filter, cfg Config) (*Result, error) {
+// buffers. The walker's clamp keeps packets in timestamp order.
+func ReplayIngest(src *ingest.Source, f Filter, cfg Config) (*Result, error) {
 	s, err := newRun(f, cfg)
 	if err != nil {
 		return nil, err

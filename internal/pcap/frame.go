@@ -6,15 +6,13 @@ import (
 	"p2pbound/internal/packet"
 )
 
-// Zero-copy frame decoding shared by the streaming Reader and the batch
-// ingestion tier (internal/ingest). DecodeFrame parses headers in place
-// and aliases the payload into the caller's frame bytes, so the caller
-// decides whether a copy ever happens. Errors are predeclared sentinels
-// — the decode path allocates nothing, not even an error message.
+// Zero-copy frame decoding for the Reader's record walker. DecodeFrame
+// parses headers in place and aliases the payload into the caller's
+// frame bytes, so the caller decides whether a copy ever happens. Errors
+// are predeclared sentinels — the decode path allocates nothing, not
+// even an error message.
 
-// Frame decode errors. ErrBadChecksum (reader.go's sentinel) is reused
-// for checksum failures so errors.Is works uniformly across the
-// streaming and zero-copy paths.
+// Frame decode errors. A checksum failure returns ErrBadChecksum.
 var (
 	// ErrFrameTooShort reports a captured frame shorter than the
 	// Ethernet+IPv4 header floor.
@@ -34,33 +32,18 @@ var (
 	ErrUnsupportedProto = errors.New("pcap: unsupported protocol")
 )
 
-// IsFrameError reports whether err is a per-frame decode failure — one
-// of the sentinels above or ErrBadChecksum — after which the enclosing
-// record stream is still well-framed and reading can continue. Framing
-// and I/O errors (truncated record, implausible length) return false:
-// nothing after them can be trusted.
-func IsFrameError(err error) bool {
-	return errors.Is(err, ErrFrameTooShort) ||
-		errors.Is(err, ErrNotIPv4) ||
-		errors.Is(err, ErrBadIPv4Header) ||
-		errors.Is(err, ErrTruncatedL4) ||
-		errors.Is(err, ErrBadDataOffset) ||
-		errors.Is(err, ErrUnsupportedProto) ||
-		errors.Is(err, ErrBadChecksum)
-}
-
 // DecodeFrame parses an Ethernet+IPv4+TCP/UDP frame into pkt without
 // copying: pkt.Payload aliases frame's bytes (nil when the frame
 // carries none), so it is only valid while frame is. origLen is the
 // record's original wire length including the Ethernet header; pkt.Len
-// receives the IP-layer share, origLen − 14. pkt.TS and pkt.Dir are
-// left untouched — timestamping and direction classification belong to
-// the source driving the decode.
+// receives the IP-layer share of the wire length, which is never shorter
+// than the captured frame: max(origLen, len(frame)) − 14, as the Writer
+// records it. pkt.TS and pkt.Dir are left untouched — timestamping and
+// direction classification belong to the walker driving the decode.
 //
 // With verify set, IP and transport checksums are validated and a
 // mismatch returns ErrBadChecksum; frames truncated by the snap length
-// cannot be verified and are accepted, exactly as the streaming Reader
-// does.
+// cannot be verified and are accepted.
 //
 //p2p:hotpath
 func DecodeFrame(frame []byte, origLen int, verify bool, pkt *packet.Packet) error {
@@ -128,7 +111,7 @@ func DecodeFrame(frame []byte, origLen int, verify bool, pkt *packet.Packet) err
 		payload = nil
 	}
 	pkt.Pair = pair
-	pkt.Len = origLen - ethHeaderLen
+	pkt.Len = max(origLen, len(frame)) - ethHeaderLen
 	pkt.Flags = flags
 	pkt.Payload = payload
 	return nil

@@ -2,17 +2,18 @@ package pcap
 
 import (
 	"bytes"
-	"errors"
-	"io"
+	"encoding/hex"
 	"testing"
 	"time"
 
 	"p2pbound/internal/packet"
 )
 
-// FuzzReadPacket feeds arbitrary bytes to the reader; it must never panic
-// and must terminate — either with packets, an error, or EOF. Run the
-// fuzzer with `go test -fuzz FuzzReadPacket ./internal/pcap`.
+// FuzzReadPacket feeds arbitrary bytes to the stream Reader; ReadBatch
+// must never panic, must terminate — with packets, a framing error, or
+// EOF — and must never decode a packet shorter than its payload, or of
+// negative length. Run the fuzzer with
+// `go test -fuzz FuzzReadPacket ./internal/pcap`.
 func FuzzReadPacket(f *testing.F) {
 	// Seed with a valid two-packet capture and a few mutations.
 	var buf bytes.Buffer
@@ -48,27 +49,29 @@ func FuzzReadPacket(f *testing.F) {
 	truncated[0] ^= 0xff
 	f.Add(truncated)
 	f.Add([]byte{})
+	negativeLen, err := hex.DecodeString(negativeLenCapture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(negativeLen)
 
 	clientNet := packet.CIDR(packet.AddrFrom4(140, 112, 0, 0), 16)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, verify := range []bool{false, true} {
-			r, err := NewReader(bytes.NewReader(data), clientNet)
+			r, err := NewReader(bytes.NewReader(data), clientNet, verify)
 			if err != nil {
 				continue
 			}
-			r.VerifyChecksums = verify
-			for i := 0; i < 10_000; i++ {
-				pkt, err := r.ReadPacket()
-				if errors.Is(err, io.EOF) {
-					break
+			batch := make([]packet.Packet, 8)
+			for {
+				n, err := r.ReadBatch(batch)
+				for i := range batch[:n] {
+					if p := &batch[i]; p.Len < len(p.Payload) || p.Len < 0 {
+						t.Fatalf("packet length %d with a %d-byte payload", p.Len, len(p.Payload))
+					}
 				}
 				if err != nil {
-					// Corrupt records may error; the reader must stay
-					// usable for the next record or report EOF later.
-					continue
-				}
-				if pkt.Len < 0 {
-					t.Fatalf("negative packet length %d", pkt.Len)
+					break
 				}
 			}
 		}

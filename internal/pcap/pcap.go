@@ -5,8 +5,8 @@
 // program".
 //
 // Packets are serialized as Ethernet + IPv4 + TCP/UDP with valid IP and
-// transport checksums; the reader verifies both and can be asked to skip
-// corrupt packets exactly as the paper's analyzer does.
+// transport checksums; the Reader can verify both and skip corrupt
+// packets exactly as the paper's analyzer does.
 package pcap
 
 import (
@@ -19,26 +19,18 @@ import (
 	"p2pbound/internal/packet"
 )
 
-// File-format constants. The exported subset is what the zero-copy
-// walker in internal/ingest needs to parse the same format.
+// File-format constants.
 const (
-	// MagicLE is the pcap magic number as read by a little-endian load;
-	// MagicBE is the same bytes read from a big-endian file.
-	MagicLE = 0xa1b2c3d4
-	MagicBE = 0xd4c3b2a1
-	// LinkEthernet is the only link type this package produces or
-	// accepts.
-	LinkEthernet = 1
-	// EthHeaderLen is the Ethernet II header length, the fixed offset
-	// between a record's captured length and its IP-layer bytes.
-	EthHeaderLen = 14
-
-	magicLE      = MagicLE
+	// magic is the pcap magic number as a little-endian load reads it
+	// from a little-endian file; magicSwapped is the same load from a
+	// big-endian file.
+	magic        = 0xa1b2c3d4
+	magicSwapped = 0xd4c3b2a1
 	versionMajor = 2
 	versionMinor = 4
-	linkEthernet = LinkEthernet
+	linkEthernet = 1
 
-	ethHeaderLen  = EthHeaderLen
+	ethHeaderLen  = 14
 	ipv4HeaderLen = 20
 	tcpHeaderLen  = 20
 	udpHeaderLen  = 8
@@ -69,7 +61,7 @@ func NewWriter(w io.Writer, snaplen int, base time.Time) (*Writer, error) {
 		snaplen = DefaultSnaplen
 	}
 	var hdr [24]byte
-	binary.LittleEndian.PutUint32(hdr[0:], magicLE)
+	binary.LittleEndian.PutUint32(hdr[0:], magic)
 	binary.LittleEndian.PutUint16(hdr[4:], versionMajor)
 	binary.LittleEndian.PutUint16(hdr[6:], versionMinor)
 	// thiszone and sigfigs stay zero.

@@ -3,6 +3,7 @@ package pcap
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"io"
 	"testing"
@@ -148,22 +149,27 @@ func TestChecksumVerification(t *testing.T) {
 	// global header 24 + record header 16 + eth 14 + ip 20 + tcp 20).
 	raw[24+16+14+20+20+3] ^= 0xff
 
-	r, err := NewReader(bytes.NewReader(raw), clientNet)
+	frame := raw[24+16 : 24+16+int(binary.LittleEndian.Uint32(raw[24+8:]))]
+	var pkt packet.Packet
+	if err := DecodeFrame(frame, len(frame), true, &pkt); !errors.Is(err, ErrBadChecksum) {
+		t.Fatalf("corrupt frame error = %v, want ErrBadChecksum", err)
+	}
+
+	// The reader counts the corrupt packet and reads on.
+	r, err := NewReader(bytes.NewReader(raw), clientNet, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.VerifyChecksums = true
-	_, err = r.ReadPacket()
-	if !errors.Is(err, ErrBadChecksum) {
-		t.Fatalf("corrupt packet error = %v, want ErrBadChecksum", err)
+	batch := make([]packet.Packet, 4)
+	n, err := r.ReadBatch(batch)
+	if n != 1 || (err != nil && err != io.EOF) {
+		t.Fatalf("ReadBatch = %d, %v; want the second packet", n, err)
 	}
-	// The second packet is still readable.
-	pkt, err := r.ReadPacket()
-	if err != nil {
-		t.Fatalf("second packet: %v", err)
+	if batch[0].Pair.Proto != packet.UDP {
+		t.Fatalf("second packet proto = %v", batch[0].Pair.Proto)
 	}
-	if pkt.Pair.Proto != packet.UDP {
-		t.Fatalf("second packet proto = %v", pkt.Pair.Proto)
+	if r.Malformed() != 1 {
+		t.Fatalf("Malformed() = %d, want 1", r.Malformed())
 	}
 
 	// ReadAll silently skips the corrupt one.
@@ -206,11 +212,11 @@ func TestBigEndianFilesAccepted(t *testing.T) {
 }
 
 func TestReaderErrors(t *testing.T) {
-	if _, err := NewReader(bytes.NewReader([]byte("short")), clientNet); err == nil {
+	if _, err := NewReader(bytes.NewReader([]byte("short")), clientNet, false); err == nil {
 		t.Fatal("short header accepted")
 	}
 	bad := make([]byte, 24)
-	if _, err := NewReader(bytes.NewReader(bad), clientNet); err == nil {
+	if _, err := NewReader(bytes.NewReader(bad), clientNet, false); err == nil {
 		t.Fatal("bad magic accepted")
 	}
 }
@@ -220,15 +226,112 @@ func TestEOFAfterLastPacket(t *testing.T) {
 	if err := WriteAll(&buf, []packet.Packet{udpPacket(0, []byte{1})}, 0, base); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(&buf, clientNet)
+	r, err := NewReader(&buf, clientNet, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadPacket(); err != nil {
+	batch := make([]packet.Packet, 1)
+	if n, err := r.ReadBatch(batch); n != 1 || err != nil {
+		t.Fatalf("ReadBatch = %d, %v; want the packet", n, err)
+	}
+	if n, err := r.ReadBatch(batch); n != 0 || err != io.EOF {
+		t.Fatalf("ReadBatch = %d, %v; want 0, io.EOF", n, err)
+	}
+}
+
+// errAfterReader returns its bytes in reads of at most chunk bytes and
+// returns err alongside the last of them.
+type errAfterReader struct {
+	data  []byte
+	chunk int
+	err   error
+}
+
+func (r *errAfterReader) Read(p []byte) (int, error) {
+	n := copy(p[:min(len(p), r.chunk)], r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		return n, r.err
+	}
+	return n, nil
+}
+
+// TestReadErrorAfterCompleteRecords: a Read that returns bytes together
+// with an error other than io.EOF still delivers every record those
+// bytes complete. The error then ends the read, in place of the clean
+// end or the truncation the bytes alone would report.
+func TestReadErrorAfterCompleteRecords(t *testing.T) {
+	want := []packet.Packet{
+		udpPacket(0, []byte{1}),
+		tcpPacket(time.Millisecond, []byte("ab")),
+		udpPacket(2*time.Millisecond, []byte("cde")),
+	}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, want, 0, base); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadPacket(); err != io.EOF {
-		t.Fatalf("expected io.EOF, got %v", err)
+	data := buf.Bytes()
+	errGone := errors.New("device gone")
+	for _, tc := range []struct {
+		name  string
+		data  []byte
+		chunk int
+		pkts  int
+	}{
+		{"all records in the failing read", data, len(data), 3},
+		{"failing read completes the last record", data, 10, 3},
+		{"partial record before the failing read", data[:len(data)-3], 10, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := NewReader(&errAfterReader{data: tc.data, chunk: tc.chunk, err: errGone}, clientNet, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch := make([]packet.Packet, 8)
+			var got []packet.Packet
+			for err == nil {
+				var n int
+				n, err = r.ReadBatch(batch)
+				for _, pkt := range batch[:n] {
+					// Payloads alias the window until the next ReadBatch.
+					pkt.Payload = bytes.Clone(pkt.Payload)
+					got = append(got, pkt)
+				}
+			}
+			if !errors.Is(err, errGone) {
+				t.Fatalf("read ended with %v, want %v", err, errGone)
+			}
+			if len(got) != tc.pkts {
+				t.Fatalf("decoded %d packets, want %d", len(got), tc.pkts)
+			}
+			for i := range got {
+				if got[i].TS != want[i].TS || !bytes.Equal(got[i].Payload, want[i].Payload) {
+					t.Fatalf("packet %d: TS %v payload %q, want %v %q", i, got[i].TS, got[i].Payload, want[i].TS, want[i].Payload)
+				}
+			}
+		})
+	}
+}
+
+// negativeLenCapture is a little-endian capture, found by fuzzing, of
+// one record whose original length (4) is shorter than its captured
+// Ethernet/IPv4/UDP frame (42 bytes), followed by three stray bytes.
+const negativeLenCapture = "d4c3b2a1303030303030303030303030303030300100000030303030303030302a00000004000000303030303030303030303030080045303030303030303011303030303030303030303030303030303030303030"
+
+// TestShortOriginalLengthClamped: a record claiming fewer original bytes
+// than it captured decodes with the captured length, as the Writer
+// records it, never with a negative one a meter would subtract.
+func TestShortOriginalLengthClamped(t *testing.T) {
+	data, err := hex.DecodeString(negativeLenCapture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadAll(bytes.NewReader(data), clientNet, false)
+	if !errors.Is(err, ErrTruncatedFile) {
+		t.Fatalf("stray trailing bytes read as %v, want ErrTruncatedFile", err)
+	}
+	if len(got) != 1 || got[0].Len != 42-ethHeaderLen {
+		t.Fatalf("decoded %+v, want one packet of length %d", got, 42-ethHeaderLen)
 	}
 }
 

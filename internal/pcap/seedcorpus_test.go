@@ -2,6 +2,7 @@ package pcap
 
 import (
 	"bytes"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -52,11 +53,16 @@ func TestRegenFuzzCorpus(t *testing.T) {
 	valid := buf.Bytes()
 	badmagic := append([]byte(nil), valid...)
 	badmagic[0] ^= 0xff
+	negativeLen, err := hex.DecodeString(negativeLenCapture)
+	if err != nil {
+		t.Fatal(err)
+	}
 	writeSeedCorpus(t, filepath.Join("testdata", "fuzz", "FuzzReadPacket"), map[string][]byte{
-		"seed-valid":     valid,
-		"seed-truncated": valid[:30],
-		"seed-badmagic":  badmagic,
-		"seed-empty":     {},
+		"seed-valid":        valid,
+		"seed-truncated":    valid[:30],
+		"seed-badmagic":     badmagic,
+		"seed-empty":        {},
+		"seed-negative-len": negativeLen,
 	})
 }
 

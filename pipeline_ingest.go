@@ -6,13 +6,13 @@ import (
 	"io"
 
 	"p2pbound/internal/ingest"
-	"p2pbound/internal/pcap"
 )
 
-// SubmitPcapFile replays the pcap capture at path through the pipeline
-// using the zero-copy memory-mapped source: frames are decoded in place
-// out of the mapping and flow through the shard rings one batch at a
-// time, so peak heap is one batch regardless of capture size. It
+// SubmitPcapFile replays the pcap capture at path through the pipeline.
+// A regular file is mapped and its frames decoded in place; a FIFO or
+// other non-regular file is streamed as SubmitPcapStream streams. The
+// packets flow through the shard rings one batch at a time, so peak
+// heap is one batch regardless of capture size. It
 // returns the number of packets submitted and the source's terminal
 // error, nil on a clean end of stream. Undecodable frames are skipped,
 // not submitted and not counted; a capture truncated mid-record
@@ -22,7 +22,7 @@ import (
 // Close, and verdicts remain asynchronous — Drain or Close before
 // reading the counters.
 func (p *Pipeline) SubmitPcapFile(path string) (int64, error) {
-	src, err := ingest.OpenMMap(path, p.clientNet, false)
+	src, err := ingest.Open(path, p.clientNet, false)
 	if err != nil {
 		return 0, fmt.Errorf("p2pbound: %w", err)
 	}
@@ -34,11 +34,11 @@ func (p *Pipeline) SubmitPcapFile(path string) (int64, error) {
 // through the pipeline in batches, with the same contract as
 // SubmitPcapFile. The stream is read to EOF.
 func (p *Pipeline) SubmitPcapStream(r io.Reader) (int64, error) {
-	pr, err := pcap.NewReader(r, p.clientNet)
+	src, err := ingest.NewStreamSource(r, p.clientNet, false)
 	if err != nil {
 		return 0, fmt.Errorf("p2pbound: %w", err)
 	}
-	return p.submitIngest(ingest.NewReaderSource(pr))
+	return p.submitIngest(src)
 }
 
 // submitIngest drains an ingestion source into the pipeline: each batch
@@ -47,7 +47,7 @@ func (p *Pipeline) SubmitPcapStream(r io.Reader) (int64, error) {
 // through the shard rings with only one batch of packets live at a
 // time. Per-flow timestamp order is preserved because the whole source
 // drains on this one producer goroutine.
-func (p *Pipeline) submitIngest(src ingest.Ingest) (int64, error) {
+func (p *Pipeline) submitIngest(src *ingest.Source) (int64, error) {
 	b := ingest.NewBatch(0)
 	recs := make([]record, len(b.Pkts))
 	var total int64

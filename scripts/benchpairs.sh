@@ -11,12 +11,14 @@
 # file holding any run flagged host_drift, so a pair is kept only when
 # neither of its runs is. PAIRS is the number of drift-free pairs to
 # keep: the script runs pairs until it has kept that many or has run
-# 3×PAIRS. The kept runs are appended to base.jsonl and new.jsonl in
+# 3×PAIRS. The kept runs are written to base.jsonl and new.jsonl in
 # $OUT (default .bench_pairs/WORKLOAD-sSEED in the current directory),
-# and every run's output stays in $OUT/runs. The script prints each
-# pair's order and fate and the counts of pairs run and kept, then the
-# --compare table of the two files. It fails when no pair was kept,
-# since there is nothing to compare.
+# and every run's output stays in $OUT/runs. The script refuses to start
+# when $OUT already holds runs of an earlier comparison, which would
+# otherwise join this one; remove them or point OUT at a fresh
+# directory. The script prints each pair's order and fate and the counts
+# of pairs run and kept, then the --compare table of the two files. It
+# fails when no pair was kept, since there is nothing to compare.
 set -euo pipefail
 
 if [ $# -lt 5 ]; then
@@ -34,6 +36,10 @@ case "$seed$pairs" in
 	;;
 esac
 out=${OUT:-$PWD/.bench_pairs/$workload-s$seed}
+if [ -e "$out/base.jsonl" ] || [ -e "$out/new.jsonl" ] || compgen -G "$out/runs/pair*.jsonl" >/dev/null; then
+	echo "$0: $out already holds runs of an earlier comparison; remove them or set OUT to a fresh directory" >&2
+	exit 2
+fi
 mkdir -p "$out/runs"
 out=$(cd "$out" && pwd)
 
